@@ -28,7 +28,7 @@ vet:
 lint: vet privlint staticcheck
 
 # privlint is the repo's own go/analysis-style suite (internal/lint):
-# twelve analyzers mechanizing the privacy, determinism, locking,
+# eleven analyzers mechanizing the privacy, determinism, locking,
 # lock-ordering, goroutine-discipline, atomicity, billing,
 # error-wrapping, telemetry-taint and WAL-journaling invariants, with
 # cross-package facts serialized between packages. See DESIGN.md §8 for
@@ -150,10 +150,14 @@ examples:
 	$(GO) run ./examples/analytics
 	$(GO) run ./examples/streaming
 
+# FuzzRecover executes fsync (every accepted log is compacted and
+# recovered a second time), so its minimization budget is capped: the
+# 60s default would spend the whole fuzz time shrinking one input.
 fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/wire/
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=30s ./internal/dataset/
 	$(GO) test -fuzz=FuzzParseSpanContext -fuzztime=30s ./internal/telemetry/
+	$(GO) test -fuzz=FuzzRecover -fuzztime=30s -fuzzminimizetime=5s ./internal/market/
 
 # Fault-injection matrix (per-node loss × corruption × crash/recover
 # churn) plus the end-to-end degraded-deployment scenario, all under the
@@ -165,13 +169,16 @@ chaos:
 # the crash-point injection matrix (the marketplace killed at every WAL
 # instant, including torn writes, then recovered and compared against
 # the acked-operations oracle), the WAL/recovery edge-case suite
-# (corrupt tails, snapshot+log replay, compaction), the torn-snapshot
-# regression, the accountant snapshot/restore unit tests, and the
-# pinned release table (fixed-seed single releases and durable sales,
-# values and books bit-for-bit). See DESIGN.md §12 for the durability
-# model these prove.
+# (corrupt tails, snapshot+log replay, compaction, legacy and corrupt
+# snapshot.json files), the compaction torn-snapshot regression, the
+# cache-hit ordering check over every crash prefix of a concurrent log,
+# the WAL decode/recovery fuzz seeds, the accountant snapshot/restore unit
+# tests, the pinned release table (fixed-seed single releases and
+# durable sales, values and books bit-for-bit), and the facade scenario
+# that restarts a marketplace on its WAL directory. See DESIGN.md §12
+# for the durability model these prove.
 durability:
-	$(GO) test -race -run 'TestPinnedReleases|TestCrashPoint|TestWAL|TestRecover|TestReplay|TestDurable|TestEnableDurability|TestGroupCommit|TestCompaction|TestDecodeWAL|TestConcurrentSaveVsBuy|TestConcurrentDurableBuysRecover|TestWithheldSpendSurvivesRestart|TestDepositCreditAfterDurable|TestDepositRejectsNonFinite|TestRestoreRejects|TestRestoreRefuses|TestAccountant' ./internal/market/ ./internal/dp/
+	$(GO) test -race -run 'TestPinnedReleases|TestCrashPoint|TestWAL|TestRecover|TestReplay|TestDurable|TestEnableDurability|TestGroupCommit|TestCompaction|TestDecodeWAL|TestConcurrentCompactVsBuy|TestConcurrentDurableBuysRecover|TestWithheldSpendSurvivesRestart|TestCacheHitNeverOutrunsItsCharge|TestDepositCreditAfterDurable|TestDepositRejectsNonFinite|TestRestoreRejects|FuzzRecover|TestAccountant|TestFullScenarioIntegration' ./internal/market/ ./internal/dp/ .
 
 # shard runs the sharded scale-out gate under the race detector: the
 # shard-count determinism suite (answers bit-identical to the

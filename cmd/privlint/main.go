@@ -1,4 +1,4 @@
-// Command privlint runs the repo's custom static-analysis suite: twelve
+// Command privlint runs the repo's custom static-analysis suite: eleven
 // analyzers that mechanically enforce the privacy, determinism, locking,
 // lock-ordering, goroutine-discipline, atomicity, billing and
 // telemetry-taint invariants DESIGN.md §8 catalogs. It is built only on

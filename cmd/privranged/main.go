@@ -37,8 +37,7 @@ func main() {
 		tariffC  = flag.Float64("tariff-c", 1e9, "1/V tariff coefficient")
 		budget   = flag.Float64("budget", 0, "total privacy budget cap per dataset (0 = uncapped)")
 		prepaid  = flag.Bool("prepaid", false, "require prepaid customer accounts (privquery deposit)")
-		state    = flag.String("state", "", "trading-state snapshot file (loaded on boot, saved on shutdown)")
-		wal      = flag.String("wal", "", "durability directory: journal every trade before acking, recover on boot (excludes -state)")
+		wal      = flag.String("wal", "", "durability directory: journal every trade before acking, recover on boot")
 		custCap  = flag.Float64("customer-cap", 0, "per-customer privacy cap per dataset (0 = uncapped)")
 		ops      = flag.String("ops", "", "operational HTTP endpoint address (metrics, snapshot, pprof); empty disables")
 		coalesce = flag.Bool("coalesce", false, "fold concurrent buys into batch sales (adds up to -coalesce-window latency)")
@@ -50,16 +49,13 @@ func main() {
 	)
 	flag.Parse()
 	serveCfg := privrange.ServeConfig{MaxInFlight: *inflight, PipelineDepth: *depth}
-	if err := run(*addr, *data, *nodes, *seed, *baseFee, *tariffC, *budget, *prepaid, *state, *wal, *custCap, *ops, *coalesce, *coWindow, *traceN, *sloSpec, serveCfg); err != nil {
+	if err := run(*addr, *data, *nodes, *seed, *baseFee, *tariffC, *budget, *prepaid, *wal, *custCap, *ops, *coalesce, *coWindow, *traceN, *sloSpec, serveCfg); err != nil {
 		fmt.Fprintf(os.Stderr, "privranged: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, dataPath string, nodes int, seed int64, baseFee, tariffC, budget float64, prepaid bool, statePath, walDir string, custCap float64, opsAddr string, coalesce bool, coWindow time.Duration, traceN int, sloSpec string, serveCfg privrange.ServeConfig) error {
-	if walDir != "" && statePath != "" {
-		return fmt.Errorf("-wal and -state are exclusive: the WAL directory carries its own snapshot")
-	}
+func run(addr, dataPath string, nodes int, seed int64, baseFee, tariffC, budget float64, prepaid bool, walDir string, custCap float64, opsAddr string, coalesce bool, coWindow time.Duration, traceN int, sloSpec string, serveCfg privrange.ServeConfig) error {
 	table, err := loadTable(dataPath, seed)
 	if err != nil {
 		return err
@@ -101,18 +97,6 @@ func run(addr, dataPath string, nodes int, seed int64, baseFee, tariffC, budget 
 			return fmt.Errorf("enable durability in %s: %w", walDir, err)
 		}
 		fmt.Printf("privranged: durable accounting in %s (%d receipts recovered)\n", walDir, mp.Purchases())
-	}
-	if statePath != "" {
-		if f, err := os.Open(statePath); err == nil {
-			restoreErr := mp.RestoreState(f)
-			f.Close()
-			if restoreErr != nil {
-				return fmt.Errorf("restore %s: %w", statePath, restoreErr)
-			}
-			fmt.Printf("privranged: restored %d receipts from %s\n", mp.Purchases(), statePath)
-		} else if !os.IsNotExist(err) {
-			return err
-		}
 	}
 	for _, p := range dataset.Pollutants() {
 		series, err := table.Series(p)
@@ -156,17 +140,6 @@ func run(addr, dataPath string, nodes int, seed int64, baseFee, tariffC, budget 
 			return err
 		}
 		fmt.Printf("privranged: compacted %d receipts into %s\n", mp.Purchases(), walDir)
-	}
-	if statePath != "" {
-		f, err := os.Create(statePath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := mp.SaveState(f); err != nil {
-			return err
-		}
-		fmt.Printf("privranged: saved %d receipts to %s\n", mp.Purchases(), statePath)
 	}
 	return nil
 }

@@ -3,11 +3,10 @@ package privrange_test
 // The all-features integration scenario: every production feature of the
 // trading stack exercised together against a real TCP endpoint —
 // prepaid accounts, answer caching, per-customer privacy caps, the
-// averaging adversary, ledger audit, and state save/restore across a
-// broker restart.
+// averaging adversary, ledger audit, and durable books recovered from
+// the WAL directory across a broker restart.
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -25,9 +24,16 @@ func TestFullScenarioIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	build := func() *privrange.Marketplace {
+	// build opens the marketplace on the WAL directory dir, recovering
+	// whatever books a previous incarnation left there: wallets first
+	// (recovered balances need them), then durability, then datasets.
+	build := func(dir string) *privrange.Marketplace {
 		mp, err := privrange.NewMarketplace(privrange.Tariff{Base: 2, C: 1e9})
 		if err != nil {
+			t.Fatal(err)
+		}
+		mp.EnablePrepaid()
+		if err := mp.EnableDurability(dir); err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range []dataset.Pollutant{dataset.Ozone, dataset.ParticulateMatter} {
@@ -40,10 +46,10 @@ func TestFullScenarioIntegration(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		mp.EnablePrepaid()
 		return mp
 	}
-	mp := build()
+	walDir := t.TempDir()
+	mp := build(walDir)
 	srv, err := mp.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -125,16 +131,14 @@ func TestFullScenarioIntegration(t *testing.T) {
 		t.Error("ozone privacy ledger empty")
 	}
 
-	// Save the books, rebuild the broker (fresh engines), restore, and
-	// verify money and history survived the restart.
-	var snapshot bytes.Buffer
-	if err := mp.SaveState(&snapshot); err != nil {
+	// Shut the books down cleanly, rebuild the marketplace (fresh
+	// engines) on the same WAL directory, and verify money, history and
+	// released ε survived the restart.
+	if err := mp.CloseDurability(); err != nil {
 		t.Fatal(err)
 	}
-	restored := build()
-	if err := restored.RestoreState(bytes.NewReader(snapshot.Bytes())); err != nil {
-		t.Fatal(err)
-	}
+	restored := build(walDir)
+	defer restored.CloseDurability()
 	if restored.Purchases() != mp.Purchases() {
 		t.Errorf("restored purchases = %d, want %d", restored.Purchases(), mp.Purchases())
 	}
@@ -143,6 +147,9 @@ func TestFullScenarioIntegration(t *testing.T) {
 	}
 	if math.Abs(restored.Balance("alice")-mp.Balance("alice")) > 1e-9 {
 		t.Errorf("restored balance = %v, want %v", restored.Balance("alice"), mp.Balance("alice"))
+	}
+	if got, want := restored.PrivacySpent("ozone"), mp.PrivacySpent("ozone"); got != want {
+		t.Errorf("restored ozone privacy ledger = %v, want %v", got, want)
 	}
 	// And the restored broker keeps trading.
 	if _, err := restored.Buy("alice", "ozone", 40, 90, privrange.Accuracy{Alpha: 0.1, Delta: 0.6}); err != nil {

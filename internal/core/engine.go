@@ -153,6 +153,12 @@ func WithAccountant(a *dp.Accountant) Option {
 // so reading it here is race-free.
 func (e *Engine) Accountant() *dp.Accountant { return e.accountant }
 
+// CachesAnswers reports whether the engine re-serves released answers
+// (WithAnswerCache). The market uses it to order a release's spend
+// record ahead of every receipt that re-serves it; like the accountant
+// it is fixed at construction.
+func (e *Engine) CachesAnswers() bool { return e.cache != nil }
+
 // WithAutoCollect controls whether the engine may command the network to
 // raise its sampling rate when a request is infeasible at the current
 // rate. Enabled by default.

@@ -8,7 +8,6 @@ import (
 	"privrange/internal/index"
 	"privrange/internal/iot"
 	"privrange/internal/sampling"
-	"privrange/internal/wire"
 )
 
 // noIndexSource strips the columnar index from a network's snapshots,
@@ -88,40 +87,5 @@ func TestAnswersBitIdenticalWithAndWithoutIndex(t *testing.T) {
 		if math.Float64bits(fe) != math.Float64bits(oe) {
 			t.Fatalf("EstimateOnly %v: flat %v != oracle %v", q, fe, oe)
 		}
-	}
-}
-
-// TestIndexInvalidatedByDirectBaseMutation pins the staleness guard:
-// sample state rewritten behind the network's index rebuild (the Base()
-// footgun) must yield an index-less snapshot, not a stale index.
-func TestIndexInvalidatedByDirectBaseMutation(t *testing.T) {
-	t.Parallel()
-	nw, _ := buildNetwork(t, 4, 2000, 13)
-	eng, err := New(nw, WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Answer(estimator.Query{L: 0, U: 50}, estimator.Accuracy{Alpha: 0.1, Delta: 0.5}); err != nil {
-		t.Fatal(err)
-	}
-	if snap := eng.readSnapshot(); snap.idx == nil {
-		t.Fatal("expected a fresh index after collection")
-	}
-	// Rewrite node 0's stored sample directly: the version moves, the
-	// index must drop out of snapshots until the next collection round.
-	sets := nw.SampleSets()
-	rep := &wire.SampleReport{NodeID: 0, N: sets[0].N, Replace: true, Samples: sets[0].Samples}
-	if err := nw.Base().HandleReport(rep); err != nil {
-		t.Fatal(err)
-	}
-	if snap := eng.readSnapshot(); snap.idx != nil {
-		t.Error("stale index served after direct base-station mutation")
-	}
-	// The next collection round rebuilds it.
-	if _, err := nw.EnsureRate(nw.Rate()); err != nil {
-		t.Fatal(err)
-	}
-	if snap := eng.readSnapshot(); snap.idx == nil {
-		t.Error("index not rebuilt by the next collection round")
 	}
 }

@@ -15,6 +15,12 @@ import (
 type BatchOutcome struct {
 	Answer *Answer
 	Err    error
+	// Charged reports whether this release spent Answer.Plan.EpsilonPrime
+	// on the engine's accountant: false for answers served from the
+	// answer cache (free post-processing) and on engines without an
+	// accountant. It lives here rather than on Answer because cached
+	// answers are shared copies.
+	Charged bool
 }
 
 // AnswerBatchSerial serves range queries at one shared accuracy level
@@ -211,6 +217,7 @@ func (e *Engine) answerBatchSerial(queries []estimator.Query, acc estimator.Accu
 				out[i].Err = serr
 				continue
 			}
+			out[i].Charged = true
 		}
 		ans := &Answer{
 			Query:             queries[i],

@@ -203,6 +203,12 @@ func TestAnswerBatchSerialCacheDuplicates(t *testing.T) {
 	if math.Abs(acct.Spent()-wantSpend) > 1e-12 {
 		t.Errorf("spent %v, want 2·ε′ = %v (duplicates must not re-spend)", acct.Spent(), wantSpend)
 	}
+	// Charged marks exactly the releases that spent ε′.
+	for i, want := range []bool{true, true, false, false} {
+		if got[i].Charged != want {
+			t.Errorf("query %d: Charged %v, want %v", i, got[i].Charged, want)
+		}
+	}
 
 	// A whole-batch replay is all cache hits: zero additional spend,
 	// values identical to the first release.
@@ -217,6 +223,9 @@ func TestAnswerBatchSerialCacheDuplicates(t *testing.T) {
 		}
 		if replay[i].Answer.Value != got[i].Answer.Value {
 			t.Errorf("replay query %d: %v, want cached %v", i, replay[i].Answer.Value, got[i].Answer.Value)
+		}
+		if replay[i].Charged {
+			t.Errorf("replay query %d: a cache hit reported a charge", i)
 		}
 	}
 	if acct.Spent() != before {
@@ -255,6 +264,11 @@ func TestAnswerBatchSerialInvalidAndEmpty(t *testing.T) {
 	}
 	if got[0].Answer == nil || got[3].Answer == nil {
 		t.Fatal("valid queries returned no answer")
+	}
+	for i := range got {
+		if got[i].Charged {
+			t.Errorf("query %d: an engine without an accountant reported a charge", i)
+		}
 	}
 
 	// An all-invalid batch releases nothing and charges nothing.

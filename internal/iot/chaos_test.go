@@ -404,7 +404,7 @@ func TestCrashRecoveryConsistency(t *testing.T) {
 	if got := nw.Coverage(); got != 1 {
 		t.Errorf("coverage after recovery %v, want 1", got)
 	}
-	if got := nw.Base().TotalN(); got != nw.TotalN() {
+	if got := nw.base.TotalN(); got != nw.TotalN() {
 		t.Errorf("base station sees %d records, network has %d", got, nw.TotalN())
 	}
 }

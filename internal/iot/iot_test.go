@@ -65,8 +65,8 @@ func TestEnsureRateCollectsSamples(t *testing.T) {
 	if math.Abs(rate-p) > 0.03 {
 		t.Errorf("collected rate %v, want ~%v", rate, p)
 	}
-	if nw.Base().TotalN() != series.Len() {
-		t.Errorf("base station TotalN = %d, want %d", nw.Base().TotalN(), series.Len())
+	if nw.base.TotalN() != series.Len() {
+		t.Errorf("base station TotalN = %d, want %d", nw.base.TotalN(), series.Len())
 	}
 }
 
@@ -494,19 +494,19 @@ func TestIngestMarksAndRefreshes(t *testing.T) {
 	if err := nw.Ingest(0, nil); err != nil {
 		t.Errorf("empty ingest should be a no-op: %v", err)
 	}
-	before := nw.Base().TotalN()
+	before := nw.base.TotalN()
 	if err := nw.Ingest(1, []float64{100, 101, 102}); err != nil {
 		t.Fatal(err)
 	}
 	// Base station still serves the pre-ingest snapshot.
-	if nw.Base().TotalN() != before {
+	if nw.base.TotalN() != before {
 		t.Error("base station should be refreshed lazily")
 	}
 	// Re-collection at the *same* rate must pick the new data up.
 	if _, err := nw.EnsureRate(0.4); err != nil {
 		t.Fatal(err)
 	}
-	if got := nw.Base().TotalN(); got != before+3 {
+	if got := nw.base.TotalN(); got != before+3 {
 		t.Errorf("post-refresh TotalN = %d, want %d", got, before+3)
 	}
 	for _, set := range nw.SampleSets() {
@@ -841,5 +841,44 @@ func TestStateVersionBumpsOnAcceptedReports(t *testing.T) {
 	}
 	if nw.StateVersion() == v1 {
 		t.Error("recovery refresh must move the sample-state version")
+	}
+}
+
+// TestIndexInvalidatedByDirectBaseMutation pins the staleness guard:
+// sample state rewritten at the base station outside a collection round
+// must yield an index-less snapshot, not a stale index, until the next
+// round rebuilds it.
+func TestIndexInvalidatedByDirectBaseMutation(t *testing.T) {
+	t.Parallel()
+	parts, _ := buildParts(t, 4, 2000, 13)
+	nw, err := New(parts, Config{Seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nw.EnsureRate(0.3); err != nil {
+		t.Fatal(err)
+	}
+	if _, idx, _, _, _, _, _ := nw.Snapshot(); idx == nil {
+		t.Fatal("expected a fresh index after collection")
+	}
+	// Rewrite node 0's stored sample directly: the version moves, the
+	// index must drop out of snapshots until the next collection round.
+	sets := nw.SampleSets()
+	rep := &wire.SampleReport{NodeID: 0, N: sets[0].N, Replace: true, Samples: sets[0].Samples}
+	nw.mu.Lock()
+	err = nw.base.HandleReport(rep)
+	nw.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, idx, _, _, _, _, _ := nw.Snapshot(); idx != nil {
+		t.Error("stale index served after direct base-station mutation")
+	}
+	// The next collection round rebuilds it.
+	if _, err := nw.EnsureRate(nw.Rate()); err != nil {
+		t.Fatal(err)
+	}
+	if _, idx, _, _, _, _, _ := nw.Snapshot(); idx == nil {
+		t.Error("index not rebuilt by the next collection round")
 	}
 }

@@ -684,15 +684,15 @@ func (nw *Network) SampleSets() []*sampling.SampleSet {
 // Snapshot returns one atomically consistent view of the queryable
 // state: the per-node sample sets, the columnar sample index built over
 // them (nil when no fresh index exists — e.g. before the first
-// collection or after a direct Base() mutation — in which case the
-// broker falls back to the SampleSet path), the guaranteed sampling
-// rate, node and record counts, the monotonic sample-state version, and
-// the reachable-record coverage. The broker estimates against a
-// snapshot lock-free — the sets and index are immutable, the version
-// lets answer caches detect sample-state changes invisible to
-// (n, rate) alone, and the coverage discloses how much of the data a
-// degraded deployment can still refresh (provenance for best-effort
-// answers).
+// collection, or once the sample state moved past the last build — in
+// which case the broker falls back to the SampleSet path), the
+// guaranteed sampling rate, node and record counts, the monotonic
+// sample-state version, and the reachable-record coverage. The broker
+// estimates against a snapshot lock-free — the sets and index are
+// immutable, the version lets answer caches detect sample-state
+// changes invisible to (n, rate) alone, and the coverage discloses how
+// much of the data a degraded deployment can still refresh
+// (provenance for best-effort answers).
 func (nw *Network) Snapshot() (sets []*sampling.SampleSet, idx *index.Index, rate float64, nodes, n int, version uint64, coverage float64) {
 	nw.mu.RLock()
 	defer nw.mu.RUnlock()
@@ -779,17 +779,6 @@ func (nw *Network) Cost() CostReport {
 	defer nw.mu.RUnlock()
 	return nw.cost
 }
-
-// Base exposes the base station for integration with the broker layer.
-//
-// Footgun: the base station itself is NOT locked — Network serializes
-// access to it internally, but a *BaseStation obtained here bypasses
-// that lock entirely. Calling any of its methods while another goroutine
-// drives the network (EnsureRate, IngestRound, HeartbeatRound, Ingest)
-// is a data race. Prefer Snapshot, which returns an immutable view under
-// the network's lock; touch Base concurrently only with external
-// synchronization. See DESIGN.md §7.
-func (nw *Network) Base() *BaseStation { return nw.base }
 
 // Clock returns the network round counter: how many collection,
 // ingestion or heartbeat rounds have run. Crash windows and breaker

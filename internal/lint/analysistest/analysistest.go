@@ -7,13 +7,13 @@
 // A fixture lives in internal/lint/testdata/src/<name>/ and is an
 // ordinary Go package, except that the go tool never builds it
 // (testdata is invisible to ./... patterns). Fixtures may import
-// module packages — privrange/internal/iot, /wire, /market — so the
+// module packages — privrange/internal/wire, /market, /dp — so the
 // golden cases exercise the analyzers against the real types they
 // guard, not mocks.
 //
 // Expectations are end-of-line comments:
 //
-//	b := nw.Base() // want `escapes the calling expression`
+//	return fmt.Errorf("collect: %v", err) // want `error value formatted with %v`
 //
 // Every diagnostic must match a want on its line and every want must
 // be matched by a diagnostic; mismatches in either direction fail the

@@ -14,7 +14,6 @@ import (
 func TestNoiseSource(t *testing.T)     { analysistest.Run(t, lint.NoiseSource, "noisesource") }
 func TestPrivacyBoundary(t *testing.T) { analysistest.Run(t, lint.PrivacyBoundary, "privacyboundary") }
 func TestBudgetFloat(t *testing.T)     { analysistest.Run(t, lint.BudgetFloat, "budgetfloat") }
-func TestBaseLock(t *testing.T)        { analysistest.Run(t, lint.BaseLock, "baselock") }
 func TestErrWrap(t *testing.T)         { analysistest.Run(t, lint.ErrWrap, "errwrap") }
 func TestBilling(t *testing.T)         { analysistest.Run(t, lint.Billing, "billing") }
 func TestTelemetryTaint(t *testing.T)  { analysistest.Run(t, lint.TelemetryTaint, "telemetrytaint") }

@@ -44,7 +44,6 @@ const (
 	indexPkg     = "privrange/internal/index"
 	corePkg      = "privrange/internal/core"
 	marketPkg    = "privrange/internal/market"
-	iotPkg       = "privrange/internal/iot"
 )
 
 func runPrivacyBoundary(pass *Pass) error {

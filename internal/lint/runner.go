@@ -120,7 +120,6 @@ func Run(analyzers []*Analyzer, pkgs []*Package, fset *token.FileSet, cfg RunCon
 func All() []*Analyzer {
 	return []*Analyzer{
 		AtomicGuard,
-		BaseLock,
 		Billing,
 		BudgetFloat,
 		DetOrder,

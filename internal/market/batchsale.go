@@ -116,8 +116,8 @@ func (b *Broker) priceBatch(reqs []Request, traces []*telemetry.Trace, out []sal
 func (b *Broker) settleBatch(reqs []Request, traces []*telemetry.Trace, out []saleResult, q batchQuote) {
 	ds, price, variance, first, alive := q.ds, q.price, q.variance, q.first, q.alive
 	// The debit→record span holds the commit lock shared: concurrent
-	// sales interleave freely, but a snapshot (SaveState, compaction)
-	// waits for the whole batch and never captures a half-settled sale.
+	// sales interleave freely, but a compaction snapshot waits for the
+	// whole batch and never captures a half-settled sale.
 	b.commitMu.RLock()
 	defer b.commitMu.RUnlock()
 	wallets := b.walletStore()
@@ -165,20 +165,32 @@ func (b *Broker) settleBatch(reqs []Request, traces []*telemetry.Trace, out []sa
 		batchTr.Annotate("dataset", reqs[first].Dataset)
 		sc = batchTr.SpanCtx()
 	}
+	// A caching engine can re-serve a fresh release to any later buyer
+	// the moment it stores it, but the release's spend is journaled with
+	// the sale that charged for it, and replay applies that spend only
+	// once that sale's receipt is durable. A cache hit committing in
+	// between would leave crash states whose receipts hand out a release
+	// whose spend recovery drops. So on a durable broker over a caching
+	// engine, the span from the engine call to the batch's last record
+	// append is exclusive per dataset: every log prefix holding a hit's
+	// receipt also holds the receipt (or spend-withheld record) of the
+	// sale that charged for it. The batch's group-commit fsync runs
+	// after the lock is released.
+	ordered := ds.engine.CachesAnswers() && b.durableStore() != nil
+	if ordered {
+		ds.releaseMu.Lock()
+	}
 	answers, err := ds.engine.AnswerBatchSerial(queries, reqs[first].Accuracy(), sc)
 	batchTr.Mark("answer")
-	if err != nil {
-		// Whole-call misuse cannot happen (the batch is non-empty), but a
-		// future engine error must still settle every debited sale.
-		for _, i := range slots {
-			b.rollbackSale(wallets, sales[i], reqs[i].Customer, price)
-			out[i].err = err
-		}
-		return
-	}
 	for bi, i := range slots {
 		traces[i].Mark("answer")
-		if aerr := answers[bi].Err; aerr != nil {
+		// Whole-call misuse cannot happen (the batch is non-empty), but a
+		// future engine error must still settle every debited sale.
+		aerr := err
+		if aerr == nil {
+			aerr = answers[bi].Err
+		}
+		if aerr != nil {
 			b.rollbackSale(wallets, sales[i], reqs[i].Customer, price)
 			out[i].err = aerr
 			alive[i] = false
@@ -190,10 +202,13 @@ func (b *Broker) settleBatch(reqs []Request, traces []*telemetry.Trace, out []sa
 	// and record interleave per sale instead of running as separate
 	// phases. The computed answer is withheld (not released) when a sale
 	// would push the customer's cumulative Σε′ on the dataset past the
-	// cap. The dataset-wide accountant has already been charged —
-	// conservative by design: a withheld answer still consumed
-	// broker-side randomness — so withholdSale journals the spend even
-	// though the sale never commits.
+	// cap. The dataset-wide accountant has already been charged for a
+	// fresh release — conservative by design: a withheld answer still
+	// consumed broker-side randomness — so withholdSale journals that
+	// spend even though the sale never commits. Spends are journaled
+	// only for charged releases: a cache hit is free post-processing
+	// the live accountant never saw, and replaying a spend for it would
+	// recover a larger Σε′ than the broker ever charged.
 	synced := make([]int, 0, len(slots))
 	for bi, i := range slots {
 		if !alive[i] {
@@ -203,7 +218,7 @@ func (b *Broker) settleBatch(reqs []Request, traces []*telemetry.Trace, out []sa
 		if cap := b.customerPrivacyCap(); cap > 0 {
 			spent := b.ledger.PrivacySpentByCustomer(reqs[i].Customer, reqs[i].Dataset)
 			if spent+ans.Plan.EpsilonPrime > cap {
-				if werr := b.withholdSale(wallets, sales[i], reqs[i], price, ans.Plan.EpsilonPrime); werr != nil {
+				if werr := b.withholdSale(wallets, sales[i], reqs[i], price, answers[bi]); werr != nil {
 					out[i].err = werr
 					continue
 				}
@@ -233,7 +248,10 @@ func (b *Broker) settleBatch(reqs []Request, traces []*telemetry.Trace, out []sa
 		})
 		// The receipt is the sale's commit record; its append traces
 		// under the sale's own span.
-		spendErr := b.journal(WALRecord{Op: opSpend, Sale: sales[i], Dataset: reqs[i].Dataset, Epsilon: ans.Plan.EpsilonPrime}, telemetry.SpanContext{})
+		var spendErr error
+		if answers[bi].Charged {
+			spendErr = b.journal(WALRecord{Op: opSpend, Sale: sales[i], Dataset: reqs[i].Dataset, Epsilon: ans.Plan.EpsilonPrime}, telemetry.SpanContext{})
+		}
 		receiptErr := b.journal(WALRecord{Op: opReceipt, Sale: sales[i], Receipt: &receipt}, traces[i].SpanCtx())
 		b.recordMu.Unlock()
 		traces[i].Mark("record")
@@ -261,6 +279,9 @@ func (b *Broker) settleBatch(reqs []Request, traces []*telemetry.Trace, out []sa
 			price: price,
 		}
 		synced = append(synced, i)
+	}
+	if ordered {
+		ds.releaseMu.Unlock()
 	}
 	batchTr.Mark("record")
 	if len(synced) == 0 {

@@ -28,9 +28,9 @@ type Broker struct {
 	customerCap float64
 	// commitMu linearizes state capture against sales: every mutating
 	// operation (a sale's debit→record span, a deposit) holds it shared,
-	// and snapshotting (SaveState, WAL compaction) holds it exclusively —
-	// so a captured snapshot can never see a debit whose receipt has not
-	// landed yet (the torn-snapshot bug).
+	// and WAL compaction holds it exclusively — so a captured snapshot
+	// can never see a debit whose receipt has not landed yet (the
+	// torn-snapshot bug).
 	commitMu sync.RWMutex
 	// recordMu makes receipt-id assignment and the receipt's WAL append
 	// one critical section. Concurrent sales hold commitMu only in
@@ -117,6 +117,9 @@ type brokerDataset struct {
 	model  pricing.VarianceModel
 	n      int
 	nodes  int
+	// releaseMu spans a durable sale's engine release and its record
+	// appends when the engine caches answers (see settleBatch).
+	releaseMu sync.Mutex
 }
 
 // NewBroker returns a broker using the given tariff. The tariff is
@@ -263,19 +266,22 @@ func (b *Broker) rollbackSale(wallets *Wallets, sale uint64, customer string, pr
 }
 
 // withholdSale resolves a sale whose answer was computed but withheld
-// by the per-customer cap. Unlike the answer-failure rollback, the
-// dataset accountant HAS been charged here, so the ε spend is journaled
-// as a spend-withheld record (applied unconditionally on replay) before
-// the refund resolves the sale, and journaling failures surface to the
-// caller instead of being best-effort: silently acking a rejection
-// whose spend never became durable would let a restart refund budget
-// the live accountant treats as spent.
-func (b *Broker) withholdSale(wallets *Wallets, sale uint64, req Request, price, eps float64) error {
+// by the per-customer cap. Unlike the answer-failure rollback, a fresh
+// release HAS charged the dataset accountant, so its ε spend is
+// journaled as a spend-withheld record (applied unconditionally on
+// replay) before the refund resolves the sale; an answer served from
+// the cache charged nothing and journals no spend. Journaling failures
+// surface to the caller instead of being best-effort: silently acking a
+// rejection whose spend never became durable would let a restart refund
+// budget the live accountant treats as spent.
+func (b *Broker) withholdSale(wallets *Wallets, sale uint64, req Request, price float64, o core.BatchOutcome) error {
 	if wallets != nil {
 		wallets.refund(req.Customer, price)
 	}
-	if err := b.journal(WALRecord{Op: opSpendHeld, Sale: sale, Dataset: req.Dataset, Epsilon: eps}, telemetry.SpanContext{}); err != nil {
-		return err
+	if o.Charged {
+		if err := b.journal(WALRecord{Op: opSpendHeld, Sale: sale, Dataset: req.Dataset, Epsilon: o.Answer.Plan.EpsilonPrime}, telemetry.SpanContext{}); err != nil {
+			return err
+		}
 	}
 	if wallets != nil {
 		if err := b.journal(WALRecord{Op: opRefund, Sale: sale, Customer: req.Customer, Amount: price}, telemetry.SpanContext{}); err != nil {

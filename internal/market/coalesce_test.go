@@ -292,7 +292,7 @@ func TestCoalescedConcurrentBuysMatchSerialOracle(t *testing.T) {
 func TestCoalescerDurableRecovery(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	b := durBroker(t, dir)
+	b := durBroker(t, dir, 0, nil)
 	if err := b.Deposit("alice", 1000); err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestCoalescerDurableRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recovered := durBroker(t, dir)
+	recovered := durBroker(t, dir, 0, nil)
 	if got, want := recovered.walletStore().Balance("alice"), aliceBal; got != want {
 		t.Errorf("alice recovered %v, want %v", got, want)
 	}

@@ -1,9 +1,7 @@
 package market
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"privrange/internal/dp"
 )
@@ -12,8 +10,10 @@ import (
 // prepaid balances and each dataset's privacy-accountant bookkeeping.
 // Sample state is deliberately excluded — on restart a broker
 // re-collects from the (authoritative) IoT network, while money,
-// receipts and released ε must survive. The same structure backs the
-// shutdown-time SaveState file and the WAL compaction snapshot.
+// receipts and released ε must survive. It is the WAL directory's
+// compaction snapshot (snapshot.json); a document without last_seq —
+// the shutdown file older releases wrote — recovers as a snapshot that
+// folds in no log records.
 type Snapshot struct {
 	Receipts []Receipt          `json:"receipts"`
 	NextID   int64              `json:"next_id"`
@@ -102,10 +102,9 @@ func (w *Wallets) restoreBalances(balances map[string]float64) error {
 // captureStateLocked assembles one consistent Snapshot of ledger,
 // wallets and accountants. Callers hold commitMu exclusively: every
 // mutating operation spans its whole debit→record sequence under the
-// shared side of that lock, so the capture can never observe a sale's
-// debit without its receipt (the torn-snapshot bug this replaces —
-// the old SaveState took the two copies under separate locks and a
-// concurrent Buy could land in between).
+// shared side of that lock, so a compaction can never capture a sale's
+// debit without its receipt — the torn snapshot that copying the two
+// under separate locks would let a concurrent Buy produce.
 func (b *Broker) captureStateLocked() *Snapshot {
 	receipts, nextID := b.ledger.snapshot()
 	snap := &Snapshot{Receipts: receipts, NextID: nextID}
@@ -125,7 +124,7 @@ func (b *Broker) captureStateLocked() *Snapshot {
 		snap.Accountants[name] = a.Snapshot()
 	}
 	// Budget recovered for datasets that have not re-registered yet
-	// must not be dropped on the floor by a save/restore cycle.
+	// must not be dropped on the floor by a compaction.
 	for name, state := range b.restored {
 		if snap.Accountants == nil {
 			snap.Accountants = make(map[string]dp.State)
@@ -135,79 +134,4 @@ func (b *Broker) captureStateLocked() *Snapshot {
 		}
 	}
 	return snap
-}
-
-// SaveState serializes the broker's trading state (ledger, wallets,
-// accountants) as JSON at one consistent point: in-flight sales finish
-// first, new ones wait for the copy. Call it on shutdown; RestoreState
-// reloads it after restart.
-func (b *Broker) SaveState(w io.Writer) error {
-	b.commitMu.Lock()
-	snap := b.captureStateLocked()
-	b.commitMu.Unlock()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(snap); err != nil {
-		return fmt.Errorf("market: save state: %w", err)
-	}
-	return nil
-}
-
-// RestoreState loads a snapshot produced by SaveState into a broker
-// that has not served anything yet — restoring over live books would
-// fork the record, so a broker with recorded sales refuses. Balances
-// restore only when wallets are attached; a snapshot with balances
-// loaded into an invoice-mode broker is rejected so money cannot
-// silently vanish. Accountant state lands on each dataset's accountant
-// as it registers (or immediately for already-registered datasets).
-// Brokers running with EnableDurability recover from the WAL directory
-// instead and refuse this path.
-func (b *Broker) RestoreState(r io.Reader) error {
-	var snap Snapshot
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&snap); err != nil {
-		return fmt.Errorf("market: restore state: %w", err)
-	}
-	if err := validateSnapshotNumbers(&snap); err != nil {
-		return err
-	}
-	b.commitMu.Lock()
-	defer b.commitMu.Unlock()
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.durable != nil {
-		return fmt.Errorf("market: broker is durable; state restores from the WAL directory, not RestoreState")
-	}
-	if b.ledger.Purchases() > 0 {
-		return fmt.Errorf("market: refusing to restore into a broker that already recorded %d sales", b.ledger.Purchases())
-	}
-	if len(snap.Balances) > 0 && b.wallets == nil {
-		return fmt.Errorf("market: snapshot carries balances but broker has no wallets attached")
-	}
-	if err := b.ledger.restore(snap.Receipts, snap.NextID); err != nil {
-		return err
-	}
-	if b.wallets != nil && snap.Balances != nil {
-		if err := b.wallets.restoreBalances(snap.Balances); err != nil {
-			return err
-		}
-	}
-	if b.restored == nil && len(snap.Accountants) > 0 {
-		b.restored = make(map[string]dp.State, len(snap.Accountants))
-	}
-	for name, state := range snap.Accountants {
-		b.restored[name] = state
-	}
-	for name, ds := range b.datasets {
-		state, ok := b.restored[name]
-		a := ds.engine.Accountant()
-		if !ok || a == nil {
-			continue
-		}
-		if err := a.Restore(state); err != nil {
-			return fmt.Errorf("market: dataset %q: %w", name, err)
-		}
-		delete(b.restored, name)
-	}
-	return nil
 }

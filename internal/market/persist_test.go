@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -12,7 +14,11 @@ import (
 	"privrange/internal/pricing"
 )
 
-func TestSaveRestoreRoundTrip(t *testing.T) {
+// TestRecoverLegacyStateFile: the shutdown file older releases wrote
+// with `privranged -state` is a Snapshot without last_seq. Copied into
+// a WAL directory as snapshot.json it recovers purchases, revenue and
+// balances, and new sales continue the receipt sequence.
+func TestRecoverLegacyStateFile(t *testing.T) {
 	t.Parallel()
 	broker, _ := buildBroker(t, pricing.InverseVariance{C: 1e9})
 	var w Wallets
@@ -26,12 +32,19 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var buf bytes.Buffer
-	if err := broker.SaveState(&buf); err != nil {
+	legacy, err := json.MarshalIndent(stateOf(t, broker), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(legacy, []byte("last_seq")) {
+		t.Fatalf("a broker that never journaled wrote last_seq: %s", legacy)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, snapshotFileName), legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	// A fresh broker (same datasets, fresh engines) restores the books.
+	// A fresh broker (same datasets, fresh engines) recovers the books.
 	fresh, err := NewBroker(pricing.InverseVariance{C: 1e9})
 	if err != nil {
 		t.Fatal(err)
@@ -42,17 +55,18 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 	}
 	var fw Wallets
 	fresh.AttachWallets(&fw)
-	if err := fresh.RestoreState(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := fresh.EnableDurability(dir); err != nil {
 		t.Fatal(err)
 	}
+	defer fresh.CloseDurability()
 	if fresh.Ledger().Purchases() != 3 {
-		t.Errorf("restored purchases = %d, want 3", fresh.Ledger().Purchases())
+		t.Errorf("recovered purchases = %d, want 3", fresh.Ledger().Purchases())
 	}
 	if got, want := fresh.Ledger().Revenue(), broker.Ledger().Revenue(); math.Abs(got-want) > 1e-9 {
-		t.Errorf("restored revenue = %v, want %v", got, want)
+		t.Errorf("recovered revenue = %v, want %v", got, want)
 	}
 	if got, want := fw.Balance("alice"), w.Balance("alice"); math.Abs(got-want) > 1e-9 {
-		t.Errorf("restored balance = %v, want %v", got, want)
+		t.Errorf("recovered balance = %v, want %v", got, want)
 	}
 	// New sales continue the id sequence without collisions.
 	resp, err := fresh.Buy(req)
@@ -64,50 +78,53 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRestoreValidation(t *testing.T) {
-	t.Parallel()
+// refuseSnapshot writes doc as a WAL directory's snapshot.json and
+// requires EnableDurability to refuse it; wallets selects prepaid mode.
+func refuseSnapshot(t *testing.T, doc string, wallets bool) {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, snapshotFileName), []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	broker, _ := buildBroker(t, pricing.InverseVariance{C: 1e9})
-	if err := broker.RestoreState(strings.NewReader("not json")); err == nil {
-		t.Error("garbage snapshot should fail")
+	if wallets {
+		broker.AttachWallets(&Wallets{})
 	}
-	// Balances into invoice mode: rejected.
-	if err := broker.RestoreState(strings.NewReader(
-		`{"receipts":[],"next_id":0,"balances":{"alice":5}}`)); err == nil {
-		t.Error("balances without wallets should fail")
+	if err := broker.EnableDurability(dir); err == nil {
+		broker.CloseDurability()
+		t.Errorf("recovery accepted corrupt snapshot %s", doc)
 	}
-	// Corrupt receipt ids.
-	if err := broker.RestoreState(strings.NewReader(
-		`{"receipts":[{"id":0}],"next_id":1}`)); err == nil {
-		t.Error("receipt id 0 should fail")
+}
+
+// TestRecoverRejectsCorruptSnapshot: a snapshot.json that does not
+// parse, carries balances no wallet can hold, or breaks the receipt id
+// rules is refused at boot rather than recovered.
+func TestRecoverRejectsCorruptSnapshot(t *testing.T) {
+	t.Parallel()
+	cases := []struct {
+		name    string
+		doc     string
+		wallets bool
+	}{
+		{"garbage", "not json", true},
+		{"balances without wallets", `{"receipts":[],"next_id":0,"balances":{"alice":5}}`, false},
+		{"receipt id 0", `{"receipts":[{"id":0}],"next_id":1}`, true},
+		{"id beyond next_id", `{"receipts":[{"id":5}],"next_id":1}`, true},
+		{"duplicate ids", `{"receipts":[{"id":1},{"id":1}],"next_id":2}`, true},
+		{"anonymous balance", `{"receipts":[],"next_id":0,"balances":{"":5}}`, true},
+		{"negative balance", `{"receipts":[],"next_id":0,"balances":{"alice":-5}}`, true},
 	}
-	if err := broker.RestoreState(strings.NewReader(
-		`{"receipts":[{"id":5}],"next_id":1}`)); err == nil {
-		t.Error("id beyond next_id should fail")
-	}
-	if err := broker.RestoreState(strings.NewReader(
-		`{"receipts":[{"id":1},{"id":1}],"next_id":2}`)); err == nil {
-		t.Error("duplicate ids should fail")
-	}
-	var w Wallets
-	broker.AttachWallets(&w)
-	if err := broker.RestoreState(strings.NewReader(
-		`{"receipts":[],"next_id":0,"balances":{"":5}}`)); err == nil {
-		t.Error("anonymous balance should fail")
-	}
-	if err := broker.RestoreState(strings.NewReader(
-		`{"receipts":[],"next_id":0,"balances":{"alice":-5}}`)); err == nil {
-		t.Error("negative balance should fail")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) { refuseSnapshot(t, tc.doc, tc.wallets) })
 	}
 }
 
 // TestRestoreRejectsNonFiniteNumbers: NaN slips past every `< 0` guard
-// and ±Inf poisons every downstream sum, so a corrupted snapshot with
-// non-finite money or ε must be refused, not restored "successfully".
+// and ±Inf poisons every downstream sum, so a snapshot.json with
+// negative money or ε must be refused at recovery, and the restore
+// layer must refuse non-finite values however they arrive.
 func TestRestoreRejectsNonFiniteNumbers(t *testing.T) {
 	t.Parallel()
-	broker, _ := buildBroker(t, pricing.InverseVariance{C: 1e9})
-	var w Wallets
-	broker.AttachWallets(&w)
 	cases := []struct {
 		name string
 		json string
@@ -119,11 +136,7 @@ func TestRestoreRejectsNonFiniteNumbers(t *testing.T) {
 		{"negative accountant queries", `{"receipts":[],"next_id":0,"accountants":{"ozone":{"spent":0.5,"queries":-1}}}`},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if err := broker.RestoreState(strings.NewReader(tc.json)); err == nil {
-				t.Errorf("restore accepted corrupt snapshot %s", tc.json)
-			}
-		})
+		t.Run(tc.name, func(t *testing.T) { refuseSnapshot(t, tc.json, true) })
 	}
 	// NaN and ±Inf cannot ride in JSON, so they hit the restore layer
 	// through in-process state (a live WAL replay, a buggy caller);
@@ -145,32 +158,20 @@ func TestRestoreRejectsNonFiniteNumbers(t *testing.T) {
 	}
 }
 
-// TestRestoreRefusesServedBroker: restoring a snapshot over a broker
-// that already recorded sales would fork the books.
-func TestRestoreRefusesServedBroker(t *testing.T) {
+// TestConcurrentCompactVsBuy is the torn-snapshot regression for
+// compaction: a capture that copied the ledger and the wallets under
+// separate locks would let a Buy land between the two copies, writing
+// a snapshot where money had left a wallet but no receipt documented
+// the sale. Every snapshot.json written during a storm of concurrent
+// sales must conserve money: deposits == balances + receipted revenue.
+func TestConcurrentCompactVsBuy(t *testing.T) {
 	t.Parallel()
-	broker, _ := buildBroker(t, pricing.InverseVariance{C: 1e9})
-	req := Request{Dataset: "ozone", Customer: "alice", L: 30, U: 90, Alpha: 0.1, Delta: 0.5}
-	if _, err := broker.Buy(req); err != nil {
-		t.Fatal(err)
-	}
-	if err := broker.RestoreState(strings.NewReader(`{"receipts":[],"next_id":0}`)); err == nil {
-		t.Fatal("restore into a broker with recorded sales must fail")
-	}
-}
-
-// TestConcurrentSaveVsBuy is the torn-snapshot regression: SaveState
-// used to copy the ledger and the wallets under separate locks, so a
-// Buy landing between the two copies produced a snapshot where money
-// had left a wallet but no receipt documented the sale. Every snapshot
-// taken during a storm of concurrent sales must conserve money:
-// deposits == remaining balances + receipted revenue.
-func TestConcurrentSaveVsBuy(t *testing.T) {
-	t.Parallel()
-	broker, _ := buildBroker(t, pricing.InverseVariance{C: 1e9})
-	var w Wallets
-	broker.AttachWallets(&w)
-	req := Request{Dataset: "ozone", Customer: "alice", L: 30, U: 90, Alpha: 0.1, Delta: 0.5}
+	dir := t.TempDir()
+	// Automatic compaction off: every snapshot written is one this
+	// loop writes and then checks.
+	broker := durBroker(t, dir, 0, nil, WithCompactionThreshold(0))
+	defer broker.CloseDurability()
+	req := Request{Dataset: "ozone", Customer: "alice", L: 0, U: 200, Alpha: 0.2, Delta: 0.5}
 	price, _, err := broker.Quote("ozone", req.Accuracy())
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +180,7 @@ func TestConcurrentSaveVsBuy(t *testing.T) {
 	// One spare sale's worth of cushion: repeated float subtraction can
 	// leave the last buyer a hair short of an exactly-funded balance.
 	deposited := price * (buyers*buysEach + 1)
-	if err := w.Deposit("alice", deposited); err != nil {
+	if err := broker.Deposit("alice", deposited); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -198,12 +199,11 @@ func TestConcurrentSaveVsBuy(t *testing.T) {
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	for {
-		var buf bytes.Buffer
-		if err := broker.SaveState(&buf); err != nil {
+		if err := broker.Compact(); err != nil {
 			t.Fatal(err)
 		}
-		var snap Snapshot
-		if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+		snap, err := readSnapshotFile(dir)
+		if err != nil {
 			t.Fatal(err)
 		}
 		var revenue float64

@@ -303,10 +303,10 @@ func pinBrokerScript(t *testing.T, log *pinLog) {
 	}
 	books("books", b, accts)
 	// Recover a second broker from the WAL the first one is still
-	// holding (no clean shutdown, so no compaction snapshot). Every sale
-	// journals its receipt's ε′ as a spend, cache hits included, so the
-	// recovered ozone spend counts the two cached sales the live
-	// accountant never charged; the table pins that as it stands.
+	// holding (no clean shutdown, so no compaction snapshot). Only
+	// charged releases journal an ε′ spend, so the two cached ozone
+	// sales add nothing and the recovered spend of every dataset is
+	// bit-equal to the live accountant's.
 	rb, raccts := pinBroker(t, dir, seed, 1.5*eps, 2.5*eps)
 	books("recovered", rb, raccts)
 }

@@ -66,14 +66,6 @@ func WithCompactionThreshold(bytes int64) DurabilityOption {
 	return func(d *durability) { d.compactBytes = bytes }
 }
 
-// WithDurability is a convenience for the common construction order:
-// it enables durable accounting on a freshly built broker, recovering
-// any prior state found in dir. Attach wallets first when running
-// prepaid — recovered balances need somewhere to land.
-func WithDurability(b *Broker, dir string, opts ...DurabilityOption) error {
-	return b.EnableDurability(dir, opts...)
-}
-
 // readSnapshotFile loads dir's compacted snapshot, or returns an empty
 // snapshot when none exists yet.
 func readSnapshotFile(dir string) (*Snapshot, error) {
@@ -286,13 +278,18 @@ func replay(snap *Snapshot, records []WALRecord) (*replayed, error) {
 }
 
 // applySpend validates and folds one ε-spend record (committed sale or
-// withheld answer) into the replayed accountant state.
+// withheld answer) into the replayed accountant state. Like a balance,
+// the running Σε′ must stay finite: finite records can still sum to
+// +Inf, which no snapshot can encode.
 func applySpend(out *replayed, r WALRecord) error {
 	if r.Dataset == "" || !isFinite(r.Epsilon) || r.Epsilon < 0 {
 		return fmt.Errorf("market: wal record %d: invalid spend %v on %q", r.Seq, r.Epsilon, r.Dataset)
 	}
 	s := out.accountants[r.Dataset]
 	s.Spent += r.Epsilon
+	if !isFinite(s.Spent) {
+		return fmt.Errorf("market: wal record %d: spend %v on %q overflows Σε′", r.Seq, r.Epsilon, r.Dataset)
+	}
 	s.Queries++
 	out.accountants[r.Dataset] = s
 	out.applied++

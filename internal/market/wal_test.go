@@ -1,7 +1,6 @@
 package market
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -16,6 +15,7 @@ import (
 	"privrange/internal/core"
 	"privrange/internal/dataset"
 	"privrange/internal/dp"
+	"privrange/internal/estimator"
 	"privrange/internal/iot"
 	"privrange/internal/pricing"
 	"privrange/internal/telemetry"
@@ -24,7 +24,7 @@ import (
 // durEngine builds a small, fast, deterministic engine with a privacy
 // accountant attached — durability tests care about the books, not the
 // estimates, so the series stays tiny.
-func durEngine(t *testing.T, p dataset.Pollutant, seed int64, budget float64) (*core.Engine, int) {
+func durEngine(t *testing.T, p dataset.Pollutant, seed int64, budget float64, opts ...core.Option) (*core.Engine, int) {
 	t.Helper()
 	series, err := dataset.GenerateSeries(p, dataset.GenerateConfig{Seed: seed, Records: 120})
 	if err != nil {
@@ -42,7 +42,7 @@ func durEngine(t *testing.T, p dataset.Pollutant, seed int64, budget float64) (*
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := core.New(nw, core.WithSeed(seed), core.WithAccountant(acct))
+	eng, err := core.New(nw, append([]core.Option{core.WithSeed(seed), core.WithAccountant(acct)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,9 +50,10 @@ func durEngine(t *testing.T, p dataset.Pollutant, seed int64, budget float64) (*
 }
 
 // durBroker builds a prepaid broker with durability rooted at dir and
-// one accountant-backed dataset, mirroring the production construction
-// order: wallets → EnableDurability → Register.
-func durBroker(t *testing.T, dir string, opts ...DurabilityOption) *Broker {
+// one accountant-backed dataset — durEngine's ozone engine under the
+// given budget and engine options — mirroring the production
+// construction order: wallets → EnableDurability → Register.
+func durBroker(t *testing.T, dir string, budget float64, engOpts []core.Option, opts ...DurabilityOption) *Broker {
 	t.Helper()
 	// C=100 keeps prices in single digits for the tiny test series, so
 	// modest deposits fund several sales.
@@ -64,7 +65,7 @@ func durBroker(t *testing.T, dir string, opts ...DurabilityOption) *Broker {
 	if err := b.EnableDurability(dir, opts...); err != nil {
 		t.Fatal(err)
 	}
-	eng, n := durEngine(t, dataset.Ozone, 7, 0)
+	eng, n := durEngine(t, dataset.Ozone, 7, budget, engOpts...)
 	if err := b.Register("ozone", eng, n, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -83,25 +84,20 @@ func durBuy(t *testing.T, b *Broker, customer string) *Response {
 	return resp
 }
 
-// stateOf extracts the broker's full durable state through SaveState.
+// stateOf captures the broker's full durable state at one consistent
+// point, the way compaction does: in-flight sales finish first.
 func stateOf(t *testing.T, b *Broker) *Snapshot {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := b.SaveState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
-		t.Fatal(err)
-	}
-	return &snap
+	b.commitMu.Lock()
+	defer b.commitMu.Unlock()
+	return b.captureStateLocked()
 }
 
 // TestDurableRoundTrip: trade, shut down cleanly, recover into a fresh
 // broker — money, receipts and released ε come back bit-identical.
 func TestDurableRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	b := durBroker(t, dir)
+	b := durBroker(t, dir, 0, nil)
 	if err := b.Deposit("alice", 50); err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +108,7 @@ func TestDurableRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rb := durBroker(t, dir)
+	rb := durBroker(t, dir, 0, nil)
 	after := stateOf(t, rb)
 	if len(after.Receipts) != 2 || after.Receipts[0] != *r1.Receipt || after.Receipts[1] != *r2.Receipt {
 		t.Fatalf("receipts did not survive: %+v", after.Receipts)
@@ -139,7 +135,7 @@ func TestRecoverEmptyDir(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, walFileName), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	b := durBroker(t, dir)
+	b := durBroker(t, dir, 0, nil)
 	if n := b.Ledger().Purchases(); n != 0 {
 		t.Fatalf("empty WAL recovered %d purchases", n)
 	}
@@ -179,7 +175,7 @@ func TestRecoverTrailingGarbage(t *testing.T) {
 	appendWAL(t, dir, frameRecord(t, WALRecord{Seq: 1, Op: opDeposit, Customer: "alice", Amount: 40}))
 	appendWAL(t, dir, []byte{0x00, 0x00, 0x00, 0x10, 0xde, 0xad}) // header promises 16 bytes, dies after 2
 
-	b := durBroker(t, dir)
+	b := durBroker(t, dir, 0, nil)
 	if got := b.walletStore().Balance("alice"); got != 40 {
 		t.Fatalf("balance %v, want 40 (valid prefix applied, garbage dropped)", got)
 	}
@@ -191,7 +187,7 @@ func TestRecoverTrailingGarbage(t *testing.T) {
 	if err := b.CloseDurability(); err != nil {
 		t.Fatal(err)
 	}
-	rb := durBroker(t, dir)
+	rb := durBroker(t, dir, 0, nil)
 	if got := rb.walletStore().Balance("alice"); got != 42 {
 		t.Fatalf("balance %v after second recovery, want 42", got)
 	}
@@ -211,7 +207,7 @@ func TestRecoverChecksumMismatchMidFile(t *testing.T) {
 	appendWAL(t, dir, second)
 	appendWAL(t, dir, third)
 
-	b := durBroker(t, dir)
+	b := durBroker(t, dir, 0, nil)
 	if got := b.walletStore().Balance("a"); got != 10 {
 		t.Fatalf("balance %v, want 10 (only the prefix before the corruption)", got)
 	}
@@ -233,7 +229,7 @@ func TestRecoverSnapshotPlusWAL(t *testing.T) {
 	appendWAL(t, dir, frameRecord(t, WALRecord{Seq: 2, Op: opDeposit, Customer: "a", Amount: 40}))
 	appendWAL(t, dir, frameRecord(t, WALRecord{Seq: 3, Op: opDeposit, Customer: "a", Amount: 5}))
 
-	b := durBroker(t, dir)
+	b := durBroker(t, dir, 0, nil)
 	if got := b.walletStore().Balance("a"); got != 105 {
 		t.Fatalf("balance %v, want 105 (snapshot 100 + only seq 3)", got)
 	}
@@ -252,7 +248,7 @@ func TestReplaySkipsDanglingSale(t *testing.T) {
 	appendWAL(t, dir, frameRecord(t, WALRecord{Seq: 4, Op: opDebit, Sale: 2, Customer: "a", Amount: 9}))
 	appendWAL(t, dir, frameRecord(t, WALRecord{Seq: 5, Op: opRefund, Sale: 2, Customer: "a", Amount: 9}))
 
-	b := durBroker(t, dir)
+	b := durBroker(t, dir, 0, nil)
 	if got := b.walletStore().Balance("a"); got != 50 {
 		t.Fatalf("balance %v, want 50 (dangling debit skipped, refund netted)", got)
 	}
@@ -269,7 +265,7 @@ func TestReplaySkipsDanglingSale(t *testing.T) {
 	if err := b.CloseDurability(); err != nil {
 		t.Fatal(err)
 	}
-	rb := durBroker(t, dir)
+	rb := durBroker(t, dir, 0, nil)
 	if rb.Ledger().Purchases() != 1 {
 		t.Fatalf("purchases %d after second recovery, want 1", rb.Ledger().Purchases())
 	}
@@ -290,7 +286,7 @@ func TestEnableDurabilityRefusals(t *testing.T) {
 	})
 	t.Run("twice", func(t *testing.T) {
 		dir := t.TempDir()
-		b := durBroker(t, dir)
+		b := durBroker(t, dir, 0, nil)
 		if err := b.EnableDurability(dir); err == nil {
 			t.Fatal("second EnableDurability must fail")
 		}
@@ -306,23 +302,13 @@ func TestEnableDurabilityRefusals(t *testing.T) {
 			t.Fatal("recovered balances with no wallets attached must fail, not vanish")
 		}
 	})
-	t.Run("restore-state refused when durable", func(t *testing.T) {
-		b := durBroker(t, t.TempDir())
-		var buf bytes.Buffer
-		if err := b.SaveState(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.RestoreState(&buf); err == nil {
-			t.Fatal("RestoreState into a durable broker must fail")
-		}
-	})
 }
 
 // TestGroupCommit: one sale journals three records (debit, spend,
 // receipt) but pays exactly one fsync.
 func TestGroupCommit(t *testing.T) {
 	dir := t.TempDir()
-	b := durBroker(t, dir)
+	b := durBroker(t, dir, 0, nil)
 	if err := b.Deposit("a", 50); err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +332,7 @@ func TestGroupCommit(t *testing.T) {
 // snapshot mid-run; the books still recover exactly.
 func TestCompaction(t *testing.T) {
 	dir := t.TempDir()
-	b := durBroker(t, dir, WithCompactionThreshold(64))
+	b := durBroker(t, dir, 0, nil, WithCompactionThreshold(64))
 	m := NewMetrics(telemetry.NewRegistry())
 	b.SetTelemetry(m)
 	if err := b.Deposit("a", 100); err != nil {
@@ -372,7 +358,7 @@ func TestCompaction(t *testing.T) {
 	if len(raw) != 0 {
 		t.Fatalf("log holds %d bytes after clean close, want 0 (compacted)", len(raw))
 	}
-	rb := durBroker(t, dir, WithCompactionThreshold(64))
+	rb := durBroker(t, dir, 0, nil, WithCompactionThreshold(64))
 	got := stateOf(t, rb)
 	if got.Balances["a"] != want.Balances["a"] {
 		t.Fatalf("balance %v, want %v", got.Balances["a"], want.Balances["a"])
@@ -449,6 +435,15 @@ func TestReplayRejectsCorruptValues(t *testing.T) {
 	if err == nil {
 		t.Error("replay accepted a sequence regression")
 	}
+	// Finite spends whose running Σε′ overflows to +Inf: no snapshot
+	// could encode the result, so the log would never compact again.
+	_, err = replay(&Snapshot{}, []WALRecord{
+		{Seq: 1, Op: opSpendHeld, Sale: 1, Dataset: "ozone", Epsilon: 1e308},
+		{Seq: 2, Op: opSpendHeld, Sale: 2, Dataset: "ozone", Epsilon: 1e308},
+	})
+	if err == nil {
+		t.Error("replay accepted a Σε′ that overflows to +Inf")
+	}
 }
 
 // walReceipt builds a minimal valid receipt for hand-crafted logs.
@@ -472,7 +467,7 @@ func TestReplayOutOfOrderReceipts(t *testing.T) {
 	appendWAL(t, dir, frameRecord(t, WALRecord{Seq: 6, Op: opReceipt, Sale: 1, Receipt: walReceipt(1, "a", 5, 0.3)}))
 	appendWAL(t, dir, frameRecord(t, WALRecord{Seq: 7, Op: opSpend, Sale: 2, Dataset: "ozone", Epsilon: 0.4}))
 
-	b := durBroker(t, dir)
+	b := durBroker(t, dir, 0, nil)
 	if got := b.Ledger().Purchases(); got != 2 {
 		t.Fatalf("recovered %d purchases, want 2", got)
 	}
@@ -508,7 +503,7 @@ func TestReplayReceiptGap(t *testing.T) {
 	appendWAL(t, dir, frameRecord(t, WALRecord{Seq: 4, Op: opReceipt, Sale: 2, Receipt: walReceipt(2, "a", 7, 0.4)}))
 	// Sale 1's receipt (id 1) was torn off the tail.
 
-	b := durBroker(t, dir)
+	b := durBroker(t, dir, 0, nil)
 	if got := b.Ledger().Purchases(); got != 1 {
 		t.Fatalf("recovered %d purchases, want 1", got)
 	}
@@ -530,7 +525,7 @@ func TestReplayReceiptGap(t *testing.T) {
 // receipts out of id order and recovery would refuse the valid log.
 func TestConcurrentDurableBuysRecover(t *testing.T) {
 	dir := t.TempDir()
-	b := durBroker(t, dir)
+	b := durBroker(t, dir, 0, nil)
 	const customers, buysEach = 4, 3
 	deposited := 0.0
 	for c := 0; c < customers; c++ {
@@ -559,7 +554,7 @@ func TestConcurrentDurableBuysRecover(t *testing.T) {
 
 	// No CloseDurability: recovery starts from whatever the group
 	// commits made durable, the way a kill -9 leaves it.
-	rb := durBroker(t, dir)
+	rb := durBroker(t, dir, 0, nil)
 	if got, want := rb.Ledger().Purchases(), customers*buysEach; got != want {
 		t.Fatalf("recovered %d purchases, want %d", got, want)
 	}
@@ -604,7 +599,7 @@ func TestReplayAppliesWithheldSpend(t *testing.T) {
 		appendWAL(t, dir, frameRecord(t, WALRecord{Seq: 3, Op: opSpendHeld, Sale: 1, Dataset: "ozone", Epsilon: 0.3}))
 		appendWAL(t, dir, frameRecord(t, WALRecord{Seq: 4, Op: opRefund, Sale: 1, Customer: "a", Amount: 5}))
 
-		b := durBroker(t, dir)
+		b := durBroker(t, dir, 0, nil)
 		if got := b.walletStore().Balance("a"); got != 50 {
 			t.Fatalf("balance %v, want 50 (debit/refund nets to zero)", got)
 		}
@@ -619,7 +614,7 @@ func TestReplayAppliesWithheldSpend(t *testing.T) {
 		appendWAL(t, dir, frameRecord(t, WALRecord{Seq: 2, Op: opDebit, Sale: 1, Customer: "a", Amount: 5}))
 		appendWAL(t, dir, frameRecord(t, WALRecord{Seq: 3, Op: opSpendHeld, Sale: 1, Dataset: "ozone", Epsilon: 0.3}))
 
-		b := durBroker(t, dir)
+		b := durBroker(t, dir, 0, nil)
 		if got := b.walletStore().Balance("a"); got != 50 {
 			t.Fatalf("balance %v, want 50 (unresolved debit skipped)", got)
 		}
@@ -640,7 +635,7 @@ func TestReplayAppliesWithheldSpend(t *testing.T) {
 // budget — recovered Σε′ must equal the live run's.
 func TestWithheldSpendSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
-	b := durBroker(t, dir)
+	b := durBroker(t, dir, 0, nil)
 	if err := b.Deposit("alice", 50); err != nil {
 		t.Fatal(err)
 	}
@@ -662,7 +657,7 @@ func TestWithheldSpendSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rb := durBroker(t, dir)
+	rb := durBroker(t, dir, 0, nil)
 	got := stateOf(t, rb)
 	if s, want := got.Accountants["ozone"], live.Accountants["ozone"]; !closeEnough(s.Spent, want.Spent) || s.Queries != want.Queries {
 		t.Fatalf("recovered accountant %+v, live %+v: restart refunded a withheld charge", s, want)
@@ -675,13 +670,149 @@ func TestWithheldSpendSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestDurableCacheHitsChargeNothing: answers served from the answer
+// cache charge the accountant nothing, so they journal no spend, and a
+// restart recovers exactly the live Σε′. Journaling a spend per sale
+// instead would replay up to five charges into a budget of 1.5 and
+// refuse to boot with "spent exceeds cap".
+func TestDurableCacheHitsChargeNothing(t *testing.T) {
+	probe, _ := durEngine(t, dataset.Ozone, 7, 0)
+	a, err := probe.Answer(estimator.Query{L: 0, U: 200}, estimator.Accuracy{Alpha: 0.2, Delta: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := 1.5 * a.Plan.EpsilonPrime
+	dir := t.TempDir()
+	cache := []core.Option{core.WithAnswerCache(true)}
+	b := durBroker(t, dir, budget, cache)
+	if err := b.Deposit("alice", 50); err != nil {
+		t.Fatal(err)
+	}
+	first := durBuy(t, b, "alice")
+	for i := 0; i < 3; i++ {
+		if again := durBuy(t, b, "alice"); again.Value != first.Value {
+			t.Fatalf("sale %d was not served from the cache", i+2)
+		}
+	}
+	// A cache hit withheld by the per-customer cap charges nothing
+	// either: alice's receipts already carry 4ε′.
+	if err := b.SetCustomerPrivacyCap(4.5 * first.EpsilonPrime); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Buy(Request{Op: "buy", Dataset: "ozone", Customer: "alice", L: 0, U: 200, Alpha: 0.2, Delta: 0.5}); err == nil {
+		t.Fatal("buy past the per-customer cap released an answer")
+	}
+	// Recover from the log alone, as after a crash: the live broker's
+	// log closes without compacting, so every sale's records replay.
+	live := stateOf(t, b).Accountants["ozone"]
+	if err := b.durableStore().wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rb := durBroker(t, dir, budget, cache)
+	if got := stateOf(t, rb).Accountants["ozone"]; math.Float64bits(got.Spent) != math.Float64bits(live.Spent) {
+		t.Fatalf("recovered Σε′ %v, live %v", got.Spent, live.Spent)
+	}
+	if rb.Ledger().Purchases() != 4 {
+		t.Fatalf("recovered %d purchases, want 4", rb.Ledger().Purchases())
+	}
+	if err := rb.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCacheHitNeverOutrunsItsCharge: a cached answer is servable to
+// every buyer the moment the engine stores it, but its ε′ is journaled
+// with the sale that charged for it. Every prefix of the log is a state
+// a crash can leave behind, and in each one the recovered Σε′ must
+// cover every release a durable receipt hands out — so no cache hit's
+// receipt may reach the log ahead of the spend of the release it
+// re-serves. alice buys a round of distinct ranges as one batch sale
+// while bob buys the same ranges one at a time, so each range is
+// charged to whichever of them gets there first and served from the
+// cache to the other.
+func TestCacheHitNeverOutrunsItsCharge(t *testing.T) {
+	dir := t.TempDir()
+	b := durBroker(t, dir, 0, []core.Option{core.WithAnswerCache(true)})
+	for _, c := range []string{"alice", "bob"} {
+		if err := b.Deposit(c, 1e6); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const ranges, rounds = 16, 16
+	for round := 0; round < rounds; round++ {
+		// A new accuracy per round misses every range cached so far.
+		reqs := make([]Request, ranges)
+		for i := range reqs {
+			reqs[i] = Request{
+				Op: "buy", Dataset: "ozone", Customer: "alice",
+				L: float64(i), U: float64(100 + i), Alpha: 0.2 + 0.01*float64(round), Delta: 0.5,
+			}
+		}
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := ranges - 1; i >= 0; i-- {
+				r := reqs[i]
+				r.Customer = "bob"
+				if _, err := b.Buy(r); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		results := b.sellBatch(append([]Request(nil), reqs...), nil)
+		wg.Wait()
+		for i, res := range results {
+			if res.err != nil {
+				t.Fatalf("round %d: alice's sale %d: %v", round, i, res.err)
+			}
+		}
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, walFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+	records, _ := decodeWAL(raw)
+	type release struct{ l, u, alpha, delta float64 }
+	// Only a receipt raises what a prefix must cover, and the records
+	// after one only add commits and spends, so the prefixes that end
+	// in a receipt are the ones to check.
+	for n := 1; n <= len(records); n++ {
+		if records[n-1].Op != opReceipt {
+			continue
+		}
+		rep, err := replay(&Snapshot{}, records[:n])
+		if err != nil {
+			t.Fatalf("prefix of %d records: %v", n, err)
+		}
+		// Every distinct (range, accuracy) among the durable receipts
+		// is at least one release this crash state has handed out.
+		released := make(map[release]float64)
+		for _, r := range rep.receipts {
+			released[release{r.L, r.U, r.Alpha, r.Delta}] = r.EpsilonPrime
+		}
+		need := 0.0
+		for _, eps := range released {
+			need += eps
+		}
+		if got := rep.accountants["ozone"].Spent; got < need && !closeEnough(got, need) {
+			t.Fatalf("crash after %d of %d records recovers Σε′ %v, but its receipts released %d answers worth %v",
+				n, len(records), got, len(released), need)
+		}
+	}
+}
+
 // TestDepositCreditAfterDurable: the balance must not move before the
 // grant's fsync returns — the old credit-first order let a concurrent
 // debit consume undurable funds, and the rollback then drove the
 // balance negative.
 func TestDepositCreditAfterDurable(t *testing.T) {
 	dir := t.TempDir()
-	b := durBroker(t, dir)
+	b := durBroker(t, dir, 0, nil)
 	var atFsync float64
 	b.durableStore().wal.hook = func(p walCrashPoint, n int) (int, bool) {
 		if p == crashSyncFsync {
@@ -706,7 +837,7 @@ func TestDepositCreditAfterDurable(t *testing.T) {
 // but would journal a record replay refuses; it must be rejected before
 // anything is written.
 func TestDepositRejectsNonFinite(t *testing.T) {
-	b := durBroker(t, t.TempDir())
+	b := durBroker(t, t.TempDir(), 0, nil)
 	for _, amount := range []float64{math.NaN(), math.Inf(1)} {
 		if err := b.Deposit("a", amount); err == nil {
 			t.Fatalf("deposit of %v accepted", amount)
@@ -721,7 +852,7 @@ func TestDepositRejectsNonFinite(t *testing.T) {
 // refused — the broker cannot silently diverge from its journal.
 func TestWALDeadAfterCrash(t *testing.T) {
 	dir := t.TempDir()
-	b := durBroker(t, dir)
+	b := durBroker(t, dir, 0, nil)
 	if err := b.Deposit("a", 50); err != nil {
 		t.Fatal(err)
 	}

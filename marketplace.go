@@ -2,7 +2,6 @@ package privrange
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -366,17 +365,6 @@ func (m *Marketplace) PrivacySpent(dataset string) float64 {
 func (m *Marketplace) SetCustomerPrivacyCap(epsilon float64) error {
 	return m.broker.SetCustomerPrivacyCap(epsilon)
 }
-
-// SaveState serializes the marketplace's trading state (ledger,
-// prepaid balances, per-dataset ε bookkeeping) as JSON for restart
-// durability. The capture is consistent: in-flight purchases complete
-// first, so a receipt never appears without its debit or vice versa.
-func (m *Marketplace) SaveState(w io.Writer) error { return m.broker.SaveState(w) }
-
-// RestoreState reloads a snapshot produced by SaveState. Enable prepaid
-// mode first when the snapshot carries balances. It refuses a
-// marketplace that already recorded sales.
-func (m *Marketplace) RestoreState(r io.Reader) error { return m.broker.RestoreState(r) }
 
 // EnableDurability turns on crash-consistent accounting: every wallet
 // deposit, sale debit, ε spend and receipt is appended to a
