@@ -147,7 +147,6 @@ examples:
 	$(GO) run ./examples/airquality
 	$(GO) run ./examples/marketplace
 	$(GO) run ./examples/iotnetwork
-	$(GO) run ./examples/analytics
 	$(GO) run ./examples/streaming
 
 # FuzzRecover executes fsync (every accepted log is compacted and
@@ -182,10 +181,12 @@ durability:
 
 # shard runs the sharded scale-out gate under the race detector: the
 # shard-count determinism suite (answers bit-identical to the
-# single-broker engine for any S), the degraded-shard chaos scenario,
-# and the shard/estimator unit suites the router stands on.
+# single-broker engine for any S), the batch contract (CountBatch equals
+# the same Counts one at a time, single-broker and sharded), the
+# degraded-shard chaos scenario, and the shard/estimator unit suites the
+# router stands on.
 shard:
-	$(GO) test -race -run 'TestShard|TestRing|TestCluster|TestScatter' . ./internal/shard/ ./internal/estimator/
+	$(GO) test -race -run 'TestShard|TestRing|TestCluster|TestScatter|TestCountBatchMatchesSerialCounts' . ./internal/shard/ ./internal/estimator/
 	$(GO) test -race -run 'TestBatchFailure|TestInvalidQueryMatrix|TestCacheReturnsCopies' ./internal/core/
 
 clean:

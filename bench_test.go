@@ -76,14 +76,6 @@ func BenchmarkAblationTopology(b *testing.B) { runFigure(b, "ablation-topology")
 // shapes.
 func BenchmarkAblationWorkloads(b *testing.B) { runFigure(b, "ablation-workloads") }
 
-// BenchmarkAblationHistogram quantifies the parallel-composition
-// advantage of the histogram release over per-band sequential queries.
-func BenchmarkAblationHistogram(b *testing.B) { runFigure(b, "ablation-histogram") }
-
-// BenchmarkAblationQuantile reports private-quantile rank error across
-// privacy budgets.
-func BenchmarkAblationQuantile(b *testing.B) { runFigure(b, "ablation-quantile") }
-
 // BenchmarkSystemCount measures one end-to-end private query (sampling
 // already collected) through the public API.
 func BenchmarkSystemCount(b *testing.B) {

@@ -71,28 +71,3 @@ func ExampleMarketplace() {
 	// sale recorded: true
 	// remaining balance: 1.00 x price
 }
-
-// ExampleSystem_Histogram shows the one-ε band histogram release.
-func ExampleSystem_Histogram() {
-	series, err := dataset.GenerateSeries(dataset.ParticulateMatter, dataset.GenerateConfig{Seed: 3, Records: 8000})
-	if err != nil {
-		log.Fatal(err)
-	}
-	sys, err := privrange.NewSystem(series.Values, privrange.Options{Nodes: 8, Seed: 3})
-	if err != nil {
-		log.Fatal(err)
-	}
-	h, err := sys.Histogram([]float64{0, 50, 100, 300}, 1.0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("bands:", len(h.Counts))
-	total := 0.0
-	for _, c := range h.Counts {
-		total += c
-	}
-	fmt.Println("normalized to n:", int(total+0.5) == sys.N())
-	// Output:
-	// bands: 3
-	// normalized to n: true
-}

@@ -17,8 +17,6 @@ var registry = map[string]Runner{
 	"fig6":                Fig6,
 	"ablation-baseline":   AblationBaseline,
 	"ablation-estimators": AblationEstimators,
-	"ablation-histogram":  AblationHistogram,
-	"ablation-quantile":   AblationQuantile,
 	"ablation-optimizer":  AblationOptimizer,
 	"ablation-arbitrage":  AblationArbitrage,
 	"ablation-topology":   AblationTopology,

@@ -75,7 +75,7 @@ func TestAnswerBatchValidation(t *testing.T) {
 	}
 }
 
-func TestAnswerBatchAllOrNothingBudget(t *testing.T) {
+func TestAnswerBatchStopsAtExhaustedBudget(t *testing.T) {
 	t.Parallel()
 	nw, _ := buildNetwork(t, 4, 8000, 85)
 	// Learn the per-answer cost first with an uncapped engine.
@@ -88,8 +88,9 @@ func TestAnswerBatchAllOrNothingBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cap affords two answers, request three: the whole batch must fail
-	// and spend nothing further.
+	// Cap affords two answers, request three: the batch releases and
+	// charges the first two, exactly as a loop of Answer calls would,
+	// and stops at the third with the accountant's error.
 	acct, err := dp.NewAccountant(one.Plan.EpsilonPrime * 2.5)
 	if err != nil {
 		t.Fatal(err)
@@ -99,15 +100,18 @@ func TestAnswerBatchAllOrNothingBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := []estimator.Query{{L: 0, U: 50}, {L: 50, U: 100}, {L: 100, U: 300}}
-	if _, err := eng.AnswerBatch(queries, acc); err == nil {
+	answers, err := eng.AnswerBatch(queries, acc)
+	if err == nil {
 		t.Fatal("over-budget batch should fail")
 	}
-	if acct.Spent() != 0 {
-		t.Errorf("failed batch must not spend, spent %v", acct.Spent())
+	if len(answers) != 2 {
+		t.Fatalf("got %d answers, want the 2 released before the cap", len(answers))
 	}
-	// A two-query batch fits.
-	if _, err := eng.AnswerBatch(queries[:2], acc); err != nil {
-		t.Errorf("affordable batch should pass: %v", err)
+	if got := acct.Queries(); got != 2 {
+		t.Errorf("accountant charged %d releases, want 2", got)
+	}
+	if got, want := acct.Spent(), answers[0].Plan.EpsilonPrime+answers[1].Plan.EpsilonPrime; got != want {
+		t.Errorf("spent %v, want the two answers' ε′ sum %v", got, want)
 	}
 }
 

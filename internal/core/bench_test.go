@@ -7,11 +7,14 @@ import (
 	"privrange/internal/telemetry"
 )
 
-// BenchmarkAnswerBatchParallel measures the broker's batch hot path —
-// one shared plan, per-query estimation and noise fanned out across the
-// worker pool — over a 64-node deployment answering 64 queries per
-// batch. Compare against BenchmarkAnswerBatchSequentialQueries (the same
-// work answered one Answer call at a time) for the concurrency win.
+// BenchmarkAnswerBatchParallel measures the broker's batch hot path
+// over a 64-node deployment answering 64 queries per batch: AnswerBatch
+// rides the serial release path, so the batch solves one shared plan,
+// estimates every query in one tiled pass across the worker pool, then
+// releases in order with one noise draw and one ε′ charge per query.
+// Compare against BenchmarkAnswerBatchSequentialQueries (the same
+// releases answered one Answer call at a time, each solving its own
+// plan) for what batching saves.
 func BenchmarkAnswerBatchParallel(b *testing.B) {
 	nw, _ := buildNetwork(b, 64, 262144, 3)
 	eng, err := New(nw, WithSeed(3))

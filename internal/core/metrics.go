@@ -63,29 +63,21 @@ func NewMetrics(r *telemetry.Registry, labels ...telemetry.Label) *Metrics {
 
 		batchesIndex:      r.Counter("privrange_core_batches_total", "batches answered, by estimation path", append([]telemetry.Label{telemetry.L("path", "index_tiled")}, labels...)...),
 		batchesSequential: r.Counter("privrange_core_batches_total", "batches answered, by estimation path", append([]telemetry.Label{telemetry.L("path", "sampleset")}, labels...)...),
-		batchQueries:      r.Counter("privrange_core_batch_queries_total", "queries answered through AnswerBatch", labels...),
+		batchQueries:      r.Counter("privrange_core_batch_queries_total", "queries released by multi-query AnswerBatchSerial calls", labels...),
 
 		latency:      r.Histogram("privrange_core_query_seconds", "end-to-end Answer latency", telemetry.LatencyBuckets, labels...),
-		batchLatency: r.Histogram("privrange_core_batch_seconds", "end-to-end AnswerBatch latency", telemetry.LatencyBuckets, labels...),
+		batchLatency: r.Histogram("privrange_core_batch_seconds", "end-to-end latency of multi-query AnswerBatchSerial calls", telemetry.LatencyBuckets, labels...),
 
 		tracer: r.Tracer(),
 		spans:  r.Spans(),
 	}
 }
 
-// begin starts a query trace when metrics are attached. When they are
-// not, the trace stays inert and every later Mark/End no-ops, so the
-// uninstrumented hot path costs two branches.
-func (m *Metrics) begin(tr *telemetry.Trace, op string) {
-	if m == nil {
-		return
-	}
-	tr.Begin(op)
-}
-
 // beginCtx starts a query trace joined to the caller's distributed
 // trace context (the market's handler span); unsampled contexts
-// degrade to a plain begin.
+// degrade to a plain begin. When no metrics are attached the trace
+// stays inert and every later Mark/End no-ops, so the uninstrumented
+// hot path costs two branches.
 func (m *Metrics) beginCtx(tr *telemetry.Trace, op string, parent telemetry.SpanContext) {
 	if m == nil {
 		return
@@ -127,9 +119,9 @@ func (m *Metrics) finishQuery(tr *telemetry.Trace, outcome string) {
 	m.tracer.Record(tr)
 }
 
-// finishBatch closes one AnswerBatch trace. indexed reports which
-// estimation path served the batch; n is the batch size (zero when the
-// batch failed before estimating).
+// finishBatch closes one multi-query AnswerBatchSerial trace. indexed
+// reports which estimation path served the batch; n is the number of
+// answers it released.
 func (m *Metrics) finishBatch(tr *telemetry.Trace, outcome string, indexed bool, n int) {
 	if m == nil {
 		return

@@ -32,11 +32,10 @@ type BatchOutcome struct {
 // in query order, so an in-batch duplicate hits the store of its
 // predecessor just as it would across serial calls.
 //
-// It is the engine's one serial release path: Answer is a batch of one,
-// and the market settles every sale through it, whether a lone buy or a
-// coalesced batch. AnswerBatch keeps the other contract (one keyed draw
-// for the whole batch, all-or-nothing budget) for callers that want
-// batch semantics.
+// It is the engine's only release code: Answer is a batch of one,
+// AnswerBatch adapts it to a loop of Answer calls, and the market
+// settles every sale through it, whether a lone buy or a coalesced
+// batch.
 //
 // sc is the caller's distributed-trace context (the market's buy or
 // batch-sale span); when sampled, the release's phases — and, on a
@@ -61,6 +60,32 @@ func (e *Engine) AnswerBatchSerial(queries []estimator.Query, acc estimator.Accu
 	out, outcome, indexed, released, err := e.answerBatchSerial(queries, acc, m, &tr)
 	m.finishBatch(&tr, outcome, indexed, released)
 	return out, err
+}
+
+// AnswerBatch answers queries at one shared accuracy level and returns
+// exactly what a loop of Answer calls would: the answers in order, up
+// to the first query that fails, together with that query's error. A
+// batch holding an invalid query is refused before anything is
+// released. Each answer costs its own ε′ and one noise draw, as it
+// would alone.
+func (e *Engine) AnswerBatch(queries []estimator.Query, acc estimator.Accuracy) ([]*Answer, error) {
+	for i, q := range queries {
+		if err := q.Validate(); err != nil {
+			return nil, fmt.Errorf("core: batch query %d: %w", i, err)
+		}
+	}
+	out, err := e.AnswerBatchSerial(queries, acc, telemetry.SpanContext{})
+	if err != nil {
+		return nil, err
+	}
+	answers := make([]*Answer, 0, len(out))
+	for _, o := range out {
+		if o.Err != nil {
+			return answers, o.Err
+		}
+		answers = append(answers, o.Answer)
+	}
+	return answers, nil
 }
 
 // answerBatchSerial is the pipeline behind AnswerBatchSerial. The

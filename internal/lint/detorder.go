@@ -25,7 +25,7 @@ import (
 //     answers;
 //   - math/rand top-level draws — the global source is shared and
 //     seed-racy; deterministic paths must draw from the engine's
-//     keyed noise stream.
+//     seeded noise stream.
 //
 // Hazards propagate: a root calling a same-package helper inherits the
 // helper's hazards, and calls into other packages consult the callee's
@@ -49,7 +49,7 @@ release-and-reduce paths, with a sorted-snapshot allowlist`,
 var detRoots = map[string][]string{
 	"privrange/internal/core": {
 		"Engine.Answer", "Engine.AnswerBatch", "Engine.AnswerBatchSerial", "Engine.EstimateOnly",
-		"Engine.answerBatch", "Engine.answerBatchSerial",
+		"Engine.answerBatchSerial",
 		"rankEstimateBatch", "rankEstimateSharded", "scatterBlock",
 	},
 	"privrange/internal/estimator": {
@@ -230,7 +230,7 @@ func detHazardCall(fn *types.Func) string {
 	case "math/rand", "math/rand/v2":
 		sig, _ := fn.Type().(*types.Signature)
 		if sig != nil && sig.Recv() == nil && !strings.HasPrefix(fn.Name(), "New") {
-			return "math/rand." + fn.Name() + ": the global source is shared and seed-racy; draw from the engine's keyed noise stream"
+			return "math/rand." + fn.Name() + ": the global source is shared and seed-racy; draw from the engine's seeded noise stream"
 		}
 	}
 	return ""

@@ -32,7 +32,7 @@ var NoiseSource = &Analyzer{
 	Name: "noisesource",
 	Doc: `forbid math/rand, math/rand/v2 and crypto/rand outside internal/stats,
 and forbid time.Now()-derived values flowing into RNG/seed/stream constructors
-anywhere: all randomness must come from stats.NewRNG / stats.NewStream so the
+anywhere: all randomness must come from stats.NewRNG and its Child streams so the
 (α,δ)-guarantee's noise is deterministic, budget-tracked and replayable`,
 	Run: runNoiseSource,
 }
@@ -46,7 +46,7 @@ func runNoiseSource(pass *Pass) error {
 				continue
 			}
 			if forbiddenRandImports[path] && !inStats {
-				pass.Reportf(imp.Pos(), "import of %s outside %s: draw randomness from stats.NewRNG/stats.NewStream so noise stays deterministic and budget-tracked", path, rngPackage)
+				pass.Reportf(imp.Pos(), "import of %s outside %s: draw randomness from stats.NewRNG and RNG.Child so noise stays deterministic and budget-tracked", path, rngPackage)
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -60,7 +60,7 @@ func runNoiseSource(pass *Pass) error {
 			}
 			for _, arg := range call.Args {
 				if pos, found := findTimeNow(pass, arg); found {
-					pass.Reportf(pos, "time.Now()-derived seed passed to %s: wall-clock seeding breaks deterministic replay; derive seeds from config or stats.NewStream", name)
+					pass.Reportf(pos, "time.Now()-derived seed passed to %s: wall-clock seeding breaks deterministic replay; derive seeds from config or RNG.Child", name)
 				}
 			}
 			return true

@@ -13,7 +13,7 @@ import (
 )
 
 // RNG is a deterministic, splittable random source. Experiments hand each
-// node / trial its own split so that changing the number of trials does not
+// node / trial its own Child so that changing the number of trials does not
 // perturb the stream any single trial sees.
 type RNG struct {
 	rand *rand.Rand
@@ -24,48 +24,12 @@ func NewRNG(seed int64) *RNG {
 	return &RNG{rand: rand.New(rand.NewSource(seed))}
 }
 
-// Split derives an independent child RNG identified by id. Two children
-// with distinct ids produce uncorrelated streams; the parent stream is not
-// advanced.
-func (r *RNG) Split(id int64) *RNG {
-	// SplitMix64-style mixing of (seed, id) into a fresh seed. The parent's
-	// underlying seed is not recoverable from *rand.Rand, so we mix the id
-	// with one draw from a dedicated lane: instead, derive from id and one
-	// parent draw would advance the parent. We therefore keep a stable
-	// derivation: hash the id through splitmix and xor with a per-parent
-	// constant drawn once at construction time via the first Uint64 of a
-	// cloned source. To stay allocation-free and order-independent we mix
-	// the id only; parents constructed with different seeds differ because
-	// their children are created through Child below.
-	return &RNG{rand: rand.New(rand.NewSource(int64(splitmix(uint64(id)))))}
-}
-
 // Child derives an independent RNG from this RNG's stream position and id.
-// Unlike Split, Child incorporates the parent seed material, so two parents
-// with different seeds yield different children for the same id.
+// It incorporates the parent seed material, so two parents with different
+// seeds yield different children for the same id.
 func (r *RNG) Child(id int64) *RNG {
 	base := r.rand.Uint64()
 	return &RNG{rand: rand.New(rand.NewSource(int64(splitmix(base ^ splitmix(uint64(id))))))}
-}
-
-// NewStream derives a deterministic RNG for one stream of a family
-// identified by (seed, stream). Distinct pairs yield uncorrelated
-// streams. Unlike Child it consumes no parent state, so callers can
-// construct streams concurrently and in any order — the broker's batch
-// path hands query i the stream (batchSeed, i) and gets bit-identical
-// noise regardless of scheduling.
-func NewStream(seed, stream int64) *RNG {
-	return &RNG{rand: rand.New(rand.NewSource(int64(splitmix(splitmix(uint64(seed)) ^ splitmix(uint64(stream))))))}
-}
-
-// Reseed re-keys this RNG in place to the deterministic stream
-// (seed, stream) — the allocation-free form of NewStream for hot paths
-// that walk many streams with one scratch RNG. After Reseed(s, i) the
-// RNG emits exactly the sequence NewStream(s, i) would, so batch code
-// can reuse one generator per batch instead of allocating one per
-// query while keeping the released values bit-identical.
-func (r *RNG) Reseed(seed, stream int64) {
-	r.rand.Seed(int64(splitmix(splitmix(uint64(seed)) ^ splitmix(uint64(stream)))))
 }
 
 // splitmix is the SplitMix64 finalizer, a strong 64-bit mixing function.

@@ -17,7 +17,7 @@ import (
 // ids come from atomic counters (the trace-id counter is seeded from
 // the process start time purely for cross-process distinctness), and
 // sampling is a modular counter — so tracing can be reasoned about,
-// replayed, and — critically — never perturbs the engine's keyed noise
+// replayed, and — critically — never perturbs the engine's seeded noise
 // stream. All wall-clock reads live inside this package, which the
 // detorder analyzer excludes from release-path hazard propagation:
 // release code calls these helpers, never time.Now.

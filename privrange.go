@@ -115,7 +115,8 @@ type Options struct {
 	// Seed drives all randomness (sampling and noise) deterministically.
 	Seed int64
 	// TotalBudget caps the cumulative effective privacy loss Σε′ across
-	// answers; once exhausted, Count fails. Zero means uncapped.
+	// answers; once exhausted, Count and CountBatch fail. Zero means
+	// uncapped.
 	TotalBudget float64
 	// Tree switches the simulated network from the flat topology to a
 	// balanced aggregation tree (affects communication cost only).
@@ -240,11 +241,48 @@ func partition(values []float64, k int) [][]float64 {
 func (s *System) Count(l, u float64, acc Accuracy) (*Answer, error) {
 	ans, err := s.engine.Answer(estimator.Query{L: l, U: u}, acc.internal())
 	if err != nil {
-		if errors.Is(err, optimize.ErrInfeasible) || errors.Is(err, core.ErrUnachievable) {
-			return nil, fmt.Errorf("%w: %w", ErrInfeasible, err)
-		}
-		return nil, err
+		return nil, wrapInfeasible(err)
 	}
+	return publicAnswer(ans), nil
+}
+
+// Range is a query interval [L, U] for batch requests.
+type Range struct {
+	L, U float64
+}
+
+// CountBatch answers many range queries at one shared accuracy level
+// and returns exactly what calling Count on each range in order would:
+// one optimizer plan serves the batch, but every answer carries its own
+// noise draw and is charged its own ε′. It stops at the first range that
+// fails (an exhausted TotalBudget, say) and returns the answers released
+// before it together with that range's error; those answers are already
+// on the ledger. A batch holding an invalid range releases nothing.
+func (s *System) CountBatch(ranges []Range, acc Accuracy) ([]*Answer, error) {
+	queries := make([]estimator.Query, len(ranges))
+	for i, r := range ranges {
+		queries[i] = estimator.Query{L: r.L, U: r.U}
+	}
+	raw, err := s.engine.AnswerBatch(queries, acc.internal())
+	out := make([]*Answer, len(raw))
+	for i, ans := range raw {
+		out[i] = publicAnswer(ans)
+	}
+	return out, wrapInfeasible(err)
+}
+
+// wrapInfeasible marks an unmeetable accuracy requirement with
+// ErrInfeasible, keeping the cause in the chain; other errors (and nil)
+// pass through.
+func wrapInfeasible(err error) error {
+	if errors.Is(err, optimize.ErrInfeasible) || errors.Is(err, core.ErrUnachievable) {
+		return fmt.Errorf("%w: %w", ErrInfeasible, err)
+	}
+	return err
+}
+
+// publicAnswer converts an engine release to the facade's Answer.
+func publicAnswer(ans *core.Answer) *Answer {
 	return &Answer{
 		Value:             ans.Value,
 		Clamped:           ans.Clamped(),
@@ -257,94 +295,7 @@ func (s *System) Count(l, u float64, acc Accuracy) (*Answer, error) {
 		N:                 ans.N,
 		Coverage:          ans.Coverage,
 		CollectionVersion: ans.CollectionVersion,
-	}, nil
-}
-
-// Histogram is a released band histogram: Counts[i] estimates the
-// number of readings in [Boundaries[i], Boundaries[i+1]), with the last
-// band closed on the right.
-type Histogram struct {
-	Boundaries []float64
-	Counts     []float64
-	// EpsilonPrime is the effective privacy budget the release consumed.
-	EpsilonPrime float64
-}
-
-// Histogram releases an ε-differentially-private band histogram. The
-// bands are disjoint, so the whole histogram costs one ε (parallel
-// composition) — far cheaper than asking each band as a separate range
-// query. Counts are normalized to be non-negative and sum to |D|.
-func (s *System) Histogram(boundaries []float64, epsilon float64) (*Histogram, error) {
-	h, effective, err := s.engine.Histogram(boundaries, epsilon)
-	if err != nil {
-		return nil, err
 	}
-	if err := h.Normalize(float64(s.N())); err != nil {
-		return nil, err
-	}
-	return &Histogram{
-		Boundaries:   h.Boundaries,
-		Counts:       h.Counts,
-		EpsilonPrime: effective,
-	}, nil
-}
-
-// QuantileResult is a released private quantile.
-type QuantileResult struct {
-	// Value is the selected quantile value.
-	Value float64
-	// EpsilonPrime is the effective privacy budget the release consumed.
-	EpsilonPrime float64
-}
-
-// Quantile releases an ε-differentially-private q-quantile (0 < q < 1)
-// of the dataset, selected by the exponential mechanism over the
-// collected samples.
-func (s *System) Quantile(q, epsilon float64) (*QuantileResult, error) {
-	v, effective, err := s.engine.Quantile(q, epsilon)
-	if err != nil {
-		return nil, err
-	}
-	return &QuantileResult{Value: v, EpsilonPrime: effective}, nil
-}
-
-// Range is a query interval [L, U] for batch requests.
-type Range struct {
-	L, U float64
-}
-
-// CountBatch answers many range queries at one shared accuracy level
-// with a single optimizer plan; each answer carries independent noise
-// and the total privacy cost (m·ε′) is charged up front, all or nothing.
-func (s *System) CountBatch(ranges []Range, acc Accuracy) ([]*Answer, error) {
-	queries := make([]estimator.Query, len(ranges))
-	for i, r := range ranges {
-		queries[i] = estimator.Query{L: r.L, U: r.U}
-	}
-	raw, err := s.engine.AnswerBatch(queries, acc.internal())
-	if err != nil {
-		if errors.Is(err, optimize.ErrInfeasible) || errors.Is(err, core.ErrUnachievable) {
-			return nil, fmt.Errorf("%w: %w", ErrInfeasible, err)
-		}
-		return nil, err
-	}
-	out := make([]*Answer, len(raw))
-	for i, ans := range raw {
-		out[i] = &Answer{
-			Value:             ans.Value,
-			Clamped:           ans.Clamped(),
-			AlphaPrime:        ans.Plan.AlphaPrime,
-			DeltaPrime:        ans.Plan.DeltaPrime,
-			Epsilon:           ans.Plan.Epsilon,
-			EpsilonPrime:      ans.Plan.EpsilonPrime,
-			SamplingRate:      ans.Rate,
-			Nodes:             ans.Nodes,
-			N:                 ans.N,
-			Coverage:          ans.Coverage,
-			CollectionVersion: ans.CollectionVersion,
-		}
-	}
-	return out, nil
 }
 
 // Ingest appends new readings to the deployment (continuous data
@@ -361,27 +312,6 @@ func (s *System) Ingest(values []float64) error {
 		perNode[i%k] = append(perNode[i%k], v)
 	}
 	return s.network.IngestRound(perNode)
-}
-
-// Hitter is one released heavy hitter: a frequent reading and its noisy
-// estimated frequency.
-type Hitter struct {
-	Value float64
-	Count float64
-}
-
-// TopK releases the k most frequent readings under ε-DP (peeling
-// exponential mechanism plus noisy counts).
-func (s *System) TopK(k int, epsilon float64) ([]Hitter, float64, error) {
-	hitters, effective, err := s.engine.TopK(k, epsilon)
-	if err != nil {
-		return nil, 0, err
-	}
-	out := make([]Hitter, len(hitters))
-	for i, h := range hitters {
-		out[i] = Hitter{Value: h.Value, Count: h.Count}
-	}
-	return out, effective, nil
 }
 
 // SpentBudget returns the cumulative effective privacy loss Σε′ released

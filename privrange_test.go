@@ -89,6 +89,39 @@ func TestSystemBudgetCap(t *testing.T) {
 	}
 }
 
+// TestCountBatchReturnsChargedAnswers pins that a batch cut short by
+// the budget cap still hands back every answer it charged for: the
+// answers released before the failing range, with that range's error.
+func TestCountBatchReturnsChargedAnswers(t *testing.T) {
+	t.Parallel()
+	series := testSeries(t, 2)
+	acc := Accuracy{Alpha: 0.1, Delta: 0.5}
+	ranges := []Range{{L: 0, U: 50}, {L: 50, U: 100}, {L: 100, U: 300}}
+	// Learn the per-answer cost on an uncapped twin.
+	probe, err := NewSystem(series.Values, Options{Nodes: 8, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := probe.Count(ranges[0].L, ranges[0].U, acc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem(series.Values, Options{Nodes: 8, Seed: 3, TotalBudget: 2.5 * one.EpsilonPrime})
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers, err := sys.CountBatch(ranges, acc)
+	if err == nil {
+		t.Fatal("batch past the budget cap should fail")
+	}
+	if len(answers) != 2 {
+		t.Fatalf("got %d answers, want the 2 the cap affords", len(answers))
+	}
+	if got, want := sys.SpentBudget(), answers[0].EpsilonPrime+answers[1].EpsilonPrime; got != want {
+		t.Errorf("spent %v, want the returned answers' ε′ sum %v", got, want)
+	}
+}
+
 func TestSystemInfeasibleAccuracy(t *testing.T) {
 	t.Parallel()
 	values := testSeries(t, 3).Values[:1000]
@@ -99,6 +132,10 @@ func TestSystemInfeasibleAccuracy(t *testing.T) {
 	_, err = sys.Count(0, 100, Accuracy{Alpha: 0.01, Delta: 0.9})
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
+	}
+	answers, err := sys.CountBatch([]Range{{L: 0, U: 100}, {L: 50, U: 200}}, Accuracy{Alpha: 0.01, Delta: 0.9})
+	if !errors.Is(err, ErrInfeasible) || len(answers) != 0 {
+		t.Fatalf("CountBatch = %d answers, err %v; want none and ErrInfeasible", len(answers), err)
 	}
 }
 
@@ -258,68 +295,6 @@ func TestSystemDeterminism(t *testing.T) {
 	}
 }
 
-func TestSystemHistogram(t *testing.T) {
-	t.Parallel()
-	series := testSeries(t, 20)
-	sys, err := NewSystem(series.Values, Options{Nodes: 10, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bands := []float64{0, 50, 100, 150, 300}
-	h, err := sys.Histogram(bands, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(h.Counts) != 4 {
-		t.Fatalf("counts = %v", h.Counts)
-	}
-	sum := 0.0
-	for _, c := range h.Counts {
-		if c < 0 {
-			t.Errorf("normalized count %v negative", c)
-		}
-		sum += c
-	}
-	if math.Abs(sum-float64(sys.N())) > 1e-6 {
-		t.Errorf("normalized total %v, want %d", sum, sys.N())
-	}
-	if h.EpsilonPrime <= 0 || sys.SpentBudget() != h.EpsilonPrime {
-		t.Errorf("budget accounting wrong: eps'=%v spent=%v", h.EpsilonPrime, sys.SpentBudget())
-	}
-	if _, err := sys.Histogram([]float64{3, 1}, 1); err == nil {
-		t.Error("bad boundaries should fail")
-	}
-}
-
-func TestSystemQuantile(t *testing.T) {
-	t.Parallel()
-	series := testSeries(t, 22)
-	sys, err := NewSystem(series.Values, Options{Nodes: 10, Seed: 23})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.Quantile(0.5, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rank := 0
-	for _, x := range series.Values {
-		if x <= res.Value {
-			rank++
-		}
-	}
-	n := float64(series.Len())
-	if math.Abs(float64(rank)-0.5*n) > 0.05*n {
-		t.Errorf("median %v has rank %d, want ~%v", res.Value, rank, 0.5*n)
-	}
-	if res.EpsilonPrime <= 0 || sys.SpentBudget() != res.EpsilonPrime {
-		t.Errorf("budget accounting wrong: %+v spent=%v", res, sys.SpentBudget())
-	}
-	if _, err := sys.Quantile(1.5, 1); err == nil {
-		t.Error("q out of range should fail")
-	}
-}
-
 func TestMarketplacePrepaidAndAudit(t *testing.T) {
 	t.Parallel()
 	mp, err := NewMarketplace(Tariff{Base: 1, C: 1e9})
@@ -428,36 +403,5 @@ func TestSystemCacheAnswers(t *testing.T) {
 	}
 	if sys.SpentBudget() != spent {
 		t.Error("cached repeat must not spend budget")
-	}
-}
-
-func TestSystemTopK(t *testing.T) {
-	t.Parallel()
-	series := testSeries(t, 60)
-	sys, err := NewSystem(series.Values, Options{Nodes: 8, Seed: 61})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hitters, effective, err := sys.TopK(3, 2.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hitters) != 3 || effective <= 0 {
-		t.Fatalf("hitters=%+v eff=%v", hitters, effective)
-	}
-	if sys.SpentBudget() != effective {
-		t.Errorf("spent %v, want %v", sys.SpentBudget(), effective)
-	}
-	for _, h := range hitters {
-		truth, err := series.RangeCount(h.Value, h.Value)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if truth == 0 {
-			t.Errorf("hitter %v absent from data", h.Value)
-		}
-	}
-	if _, _, err := sys.TopK(0, 1); err == nil {
-		t.Error("k=0 should fail")
 	}
 }

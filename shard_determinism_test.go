@@ -1,6 +1,7 @@
 package privrange
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -48,6 +49,54 @@ func releaseScript(t *testing.T, sys *System) []float64 {
 	record(sys.Count(400, 499, Accuracy{Alpha: 0.08, Delta: 0.7}))
 	out = append(out, sys.SpentBudget(), float64(sys.N()), sys.SamplingRate())
 	return out
+}
+
+// TestCountBatchMatchesSerialCounts pins CountBatch's release contract:
+// a batch releases and costs exactly what Count releases and costs for
+// the same ranges asked one at a time — the same noise draws in order,
+// plans, provenance and Σε′ — on a single broker and a sharded one, and
+// with the answer cache on, where a repeat is served free from the
+// cache inside a batch as it is across Count calls.
+func TestCountBatchMatchesSerialCounts(t *testing.T) {
+	t.Parallel()
+	values := shardTestValues(6000)
+	acc := Accuracy{Alpha: 0.05, Delta: 0.8}
+	ranges := []Range{{L: 100, U: 300}, {L: 0, U: 50}, {L: 250, U: 250}, {L: 100, U: 300}, {L: -5, U: 499}}
+	for _, shards := range []int{1, 4} {
+		for _, cache := range []bool{false, true} {
+			t.Run(fmt.Sprintf("S=%d/cache=%v", shards, cache), func(t *testing.T) {
+				t.Parallel()
+				opt := Options{Nodes: 16, Shards: shards, Seed: 5, CacheAnswers: cache}
+				batchSys, err := NewSystem(values, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				serialSys, err := NewSystem(values, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				batch, err := batchSys.CountBatch(ranges, acc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(batch) != len(ranges) {
+					t.Fatalf("got %d answers for %d ranges", len(batch), len(ranges))
+				}
+				for i, r := range ranges {
+					want, err := serialSys.Count(r.L, r.U, acc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if *batch[i] != *want || math.Float64bits(batch[i].Value) != math.Float64bits(want.Value) {
+						t.Errorf("range %d %v: batch %+v, serial %+v", i, r, *batch[i], *want)
+					}
+				}
+				if got, want := batchSys.SpentBudget(), serialSys.SpentBudget(); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("batch spent %v, serial spent %v", got, want)
+				}
+			})
+		}
+	}
 }
 
 // TestShardCountDeterminism is the tentpole's acceptance bar: for any
