@@ -6,7 +6,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 STATICCHECK ?= staticcheck
 
-.PHONY: all check build vet lint privlint lint-report staticcheck tools test race cover bench bench-smoke bench-shard bench-trace load slo experiments examples fuzz chaos shard durability clean
+.PHONY: all check build vet lint privlint lint-report staticcheck tools test race cover bench bench-smoke bench-trace load slo experiments examples fuzz chaos shard durability clean
 
 all: build vet test
 
@@ -62,7 +62,7 @@ test:
 
 # race runs the full suite under the race detector, then re-runs the
 # concurrency-heavy shard and market suites a second time: their bugs
-# (scatter-gather joins, WAL group commit, receipt ordering) are
+# (collection fan-out joins, WAL group commit, receipt ordering) are
 # interleaving-dependent, and a second pass shakes out schedules the
 # first run missed.
 race:
@@ -128,16 +128,6 @@ slo:
 	$(GO) run ./cmd/privload -rate 1000 -duration 2s -conns 4 \
 		-slo 0.99:5s -max-burn 1.0
 
-# bench-shard records 1-vs-S shard throughput (scatter-gather batch
-# release and collection rounds) in results/bench-shard.txt plus a
-# machine-readable results/bench-shard.json via cmd/benchjson. Answers
-# are bit-identical across the shard axis, so the series isolates
-# routing overhead vs parallel win.
-bench-shard:
-	@mkdir -p results
-	$(GO) test -bench='BenchmarkShard' -benchmem -run=NONE . | tee results/bench-shard.txt
-	$(GO) run ./cmd/benchjson -o results/bench-shard.json results/bench-shard.txt
-
 # Regenerate the paper's evaluation as tables (CSV copies in ./results).
 experiments:
 	$(GO) run ./cmd/experiments -all -o results
@@ -183,11 +173,12 @@ durability:
 # shard-count determinism suite (answers bit-identical to the
 # single-broker engine for any S), the batch contract (CountBatch equals
 # the same Counts one at a time, single-broker and sharded), the
-# degraded-shard chaos scenario, and the shard/estimator unit suites the
-# router stands on.
+# degraded-shard chaos scenario, the ring and cluster unit suites (the
+# composed index equals a single broker's), and the sharded batch's
+# index-path count.
 shard:
-	$(GO) test -race -run 'TestShard|TestRing|TestCluster|TestScatter|TestCountBatchMatchesSerialCounts' . ./internal/shard/ ./internal/estimator/
-	$(GO) test -race -run 'TestBatchFailure|TestInvalidQueryMatrix|TestCacheReturnsCopies' ./internal/core/
+	$(GO) test -race -run 'TestShard|TestRing|TestCluster|TestCountBatchMatchesSerialCounts' . ./internal/shard/
+	$(GO) test -race -run 'TestBatchFailure|TestInvalidQueryMatrix|TestCacheReturnsCopies|TestShardedBatchCountsIndexPath' ./internal/core/
 
 clean:
 	rm -rf results test_output.txt bench_output.txt

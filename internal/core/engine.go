@@ -34,8 +34,9 @@ import (
 	"privrange/internal/telemetry"
 )
 
-// Source is the engine's view of a sampled IoT deployment.
-// iot.Network implements it.
+// Source is the engine's view of a sampled IoT deployment. The
+// single-broker iot.Network and the sharded shard.Cluster both
+// implement it; the engine cannot tell them apart.
 type Source interface {
 	// EnsureRate drives collection until the base station holds a
 	// Bernoulli(p) sample from every reachable node, returning a report

@@ -85,16 +85,6 @@ func (m *Metrics) beginCtx(tr *telemetry.Trace, op string, parent telemetry.Span
 	tr.BeginCtx(op, parent, m.spans)
 }
 
-// spanGroup returns the per-shard scatter span group for a sampled
-// trace, nil otherwise — and a nil group is inert, so the scatter path
-// passes it along unconditionally.
-func (m *Metrics) spanGroup(tr *telemetry.Trace) *telemetry.SpanGroup {
-	if m == nil {
-		return nil
-	}
-	return m.spans.NewSpanGroup("core.shard_scatter", "", tr.SpanCtx())
-}
-
 // noteCacheLookup records one answer-cache probe.
 func (m *Metrics) noteCacheLookup(hit bool) {
 	if m == nil {

@@ -38,8 +38,8 @@ type BatchOutcome struct {
 // batch.
 //
 // sc is the caller's distributed-trace context (the market's buy or
-// batch-sale span); when sampled, the release's phases — and, on a
-// sharded source, every shard's scatter — emit as spans parented on it.
+// batch-sale span); when sampled, the release's phases emit as spans
+// parented on it.
 // Tracing never changes an answer. A single query is traced and counted
 // as core.answer with the per-query latency series; two or more as
 // core.answer_batch_serial with the batch series.
@@ -197,7 +197,6 @@ func (e *Engine) answerBatchSerial(queries []estimator.Query, acc estimator.Accu
 		}
 		raws = make([]float64, len(queries))
 		dst := make([]float64, len(batch))
-		snap.spans = m.spanGroup(tr)
 		eerr := rankEstimateBatch(snap, batch, dst)
 		tr.Mark("estimate")
 		if eerr != nil {

@@ -4,8 +4,6 @@ import (
 	"privrange/internal/estimator"
 	"privrange/internal/index"
 	"privrange/internal/sampling"
-	"privrange/internal/shard"
-	"privrange/internal/telemetry"
 )
 
 // snapshot is one immutable, atomically consistent view of the source —
@@ -18,10 +16,10 @@ type snapshot struct {
 	sets []*sampling.SampleSet
 	// idx is the columnar sample index built over sets at collection
 	// time, shared immutably through the snapshot. It is nil when the
-	// source has no fresh index (nothing collected yet, or the sample
-	// state was mutated behind the source's back); estimation then falls
-	// back to the SampleSet path, which is slower but always correct —
-	// both paths are property-tested bit-identical.
+	// source holds no index built from exactly its current sample state
+	// (nothing collected yet, or the last build failed); estimation then
+	// falls back to the SampleSet path, which is slower but always
+	// correct — both paths are property-tested bit-identical.
 	idx  *index.Index
 	rate float64
 	// nodes is k and n is |D| at capture time.
@@ -33,30 +31,12 @@ type snapshot struct {
 	// coverage is the fraction of records held by reachable nodes at
 	// capture time — the degradation provenance released with answers.
 	coverage float64
-	// views holds the per-shard estimation views when the source is a
-	// ShardedSource; estimation then scatter-gathers across them (see
-	// router.go) instead of running the single-index kernels. Nil for
-	// single-broker sources.
-	views []shard.View
-	// spans, when non-nil, is the sampled request's per-shard span group:
-	// the scatter path emits one span per shard under it. Nil (the
-	// default, and always for unsampled requests) is inert. It is set by
-	// the engine wrappers just before estimation and never captured —
-	// snapshot identity (the cache key fields above) ignores it.
-	spans *telemetry.SpanGroup
 }
 
 // snapshotLocked captures the source state. Callers must hold e.mu in
 // either mode (read for queries, write during collection).
 func (e *Engine) snapshotLocked() snapshot {
 	var s snapshot
-	if ss, ok := e.src.(ShardedSource); ok {
-		cs := ss.ShardSnapshot()
-		s.sets, s.rate, s.nodes, s.n = cs.Sets, cs.Rate, cs.Nodes, cs.N
-		s.version, s.coverage = cs.Version, cs.Coverage
-		s.views = cs.Views
-		return s
-	}
 	s.sets, s.idx, s.rate, s.nodes, s.n, s.version, s.coverage = e.src.Snapshot()
 	return s
 }
@@ -69,15 +49,11 @@ func (e *Engine) readSnapshot() snapshot {
 }
 
 // rankEstimateBatch fills raws[i] with the un-noised RankCounting
-// estimate for queries[i]: scatter-gather across shard views on a
-// sharded source, the tiled flat-index batch kernel when the snapshot
-// carries an index, and the per-query SampleSet path otherwise. All
-// three return bit-identical values, so callers cannot observe which
-// one ran.
+// estimate for queries[i]: the tiled flat-index batch kernel when the
+// snapshot carries an index, and the per-query SampleSet path
+// otherwise. Both return bit-identical values, so callers cannot
+// observe which one ran.
 func rankEstimateBatch(snap snapshot, queries []estimator.Query, raws []float64) error {
-	if snap.views != nil {
-		return rankEstimateSharded(snap, queries, raws)
-	}
 	rc := estimator.RankCounting{P: snap.rate}
 	if snap.idx != nil {
 		return rc.EstimateIndexBatch(snap.idx, queries, raws)

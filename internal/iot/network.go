@@ -702,17 +702,15 @@ func (nw *Network) Snapshot() (sets []*sampling.SampleSet, idx *index.Index, rat
 
 // State is one atomically consistent view of a network for composition
 // by a sharded cluster: the reported node ids (ascending) with their
-// sample sets and columnar index, plus the scalar state in the exact
-// units a cluster needs to reproduce the single-broker values
-// bit-for-bit (live/total record counts instead of a pre-divided
-// coverage, so the composed ratio is computed once from integers).
+// sample sets, plus the scalar state in the exact units a cluster needs
+// to reproduce the single-broker values bit-for-bit (live/total record
+// counts instead of a pre-divided coverage, so the composed ratio is
+// computed once from integers).
 type State struct {
 	// IDs are the node ids with stored samples, ascending; Sets is
 	// parallel to IDs. Nodes that never reported do not appear.
 	IDs  []int
 	Sets []*sampling.SampleSet
-	// Idx is the columnar index over Sets (nil when stale or absent).
-	Idx *index.Index
 	// Rate, Nodes, N and Version mirror Snapshot.
 	Rate    float64
 	Nodes   int
@@ -727,12 +725,10 @@ type State struct {
 func (nw *Network) State() State {
 	nw.mu.RLock()
 	defer nw.mu.RUnlock()
-	idx, _ := nw.base.Index()
 	live, total := nw.liveRecordsLocked()
 	return State{
 		IDs:          nw.base.NodeIDs(),
 		Sets:         nw.base.SampleSets(),
-		Idx:          idx,
 		Rate:         nw.rate(),
 		Nodes:        len(nw.nodes),
 		N:            nw.totalN(),

@@ -13,8 +13,8 @@ import (
 // §11): a released answer must be a deterministic function of the
 // collected samples and the noise stream, across shard counts and
 // across runs. In the functions reachable from the configured
-// deterministic-path roots (core answer/reduce, estimator scatter and
-// flat kernels, shard router, index build) it flags:
+// deterministic-path roots (core answer/reduce, estimator set and flat
+// kernels, shard composition, index build) it flags:
 //
 //   - `range` over a map — Go randomizes iteration order — unless the
 //     loop follows the sorted-snapshot discipline (only order-neutral
@@ -50,15 +50,14 @@ var detRoots = map[string][]string{
 	"privrange/internal/core": {
 		"Engine.Answer", "Engine.AnswerBatch", "Engine.AnswerBatchSerial", "Engine.EstimateOnly",
 		"Engine.answerBatchSerial",
-		"rankEstimateBatch", "rankEstimateSharded", "scatterBlock",
+		"rankEstimateBatch",
 	},
 	"privrange/internal/estimator": {
 		"BasicCounting.Estimate", "BasicCounting.EstimateIndex", "BasicCounting.EstimateIndexBatch",
 		"RankCounting.Estimate", "RankCounting.EstimateIndex", "RankCounting.EstimateIndexBatch",
-		"RankCounting.EstimateScatter", "RankCounting.EstimateIndexScatter",
 	},
 	"privrange/internal/shard": {
-		"Cluster.Snapshot", "Ring.Owner",
+		"Cluster.Snapshot", "Cluster.recomposeLocked", "Ring.Owner",
 	},
 	"privrange/internal/index": {
 		"Build",

@@ -18,9 +18,7 @@ import (
 //     broker-internal by contract (EstimateOnly's doc says "It never
 //     leaves the broker");
 //   - the out slice of (estimator.RankCounting).EstimateIndexBatch,
-//     which the call fills with un-noised estimates, and the dst tables
-//     of the scatter forms (EstimateIndexScatter / EstimateScatter),
-//     which hold un-noised per-node terms — rawer still.
+//     which the call fills with un-noised estimates.
 //
 // Sinks: field values of market.Response and market.Receipt, the two
 // types that travel back to consumers.
@@ -98,16 +96,10 @@ func (t *taintState) propagate(n ast.Node) bool {
 		}
 	case *ast.CallExpr:
 		// EstimateIndexBatch fills its out argument with un-noised
-		// estimates: the slice is tainted from the call onward. The
-		// scatter forms fill their dst argument with un-noised per-node
-		// terms — rawer still (per-node granularity).
+		// estimates: the slice is tainted from the call onward.
 		fn := calleeFunc(t.pass.TypesInfo, n)
 		if isFuncNamed(fn, estimatorPkg, "RankCounting.EstimateIndexBatch") && len(n.Args) == 3 {
 			t.markVar(n.Args[2])
-		}
-		if (isFuncNamed(fn, estimatorPkg, "RankCounting.EstimateIndexScatter") ||
-			isFuncNamed(fn, estimatorPkg, "RankCounting.EstimateScatter")) && len(n.Args) == 4 {
-			t.markVar(n.Args[3])
 		}
 	}
 	return true

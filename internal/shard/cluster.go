@@ -13,52 +13,40 @@ import (
 	"privrange/internal/telemetry"
 )
 
-// View is one shard's immutable contribution to a composed Snapshot:
-// the shard's reported sample sets (ascending global node id), the
-// columnar index built over exactly those sets (nil when stale or
-// absent), and each local node's row in the cluster-wide composed
-// order. The engine's router scatters per-node estimate terms into a
-// global table at Rows and reduces in row order, which is the global
-// node order — the reduction the single-broker engine performs.
-type View struct {
-	Sets []*sampling.SampleSet
-	Idx  *index.Index
-	// Rows[j] is the position of local node j in the composed global
-	// order (Snapshot.Sets). Rows of different views are disjoint.
-	Rows []int
-}
-
-// Snapshot is one atomically consistent cross-shard view: the
-// per-shard estimation views plus the composed state in the exact
-// representation the single-broker Source contract uses. Slices are
-// immutable — recomposition replaces them — so a Snapshot stays valid
-// while collections proceed underneath it.
-type Snapshot struct {
-	Views []View
-	// Sets is the composed per-node sample set list, ascending global
+// snapshot is one atomically consistent cross-shard view in the exact
+// representation the single-broker Source contract uses. Slices and the
+// index are immutable — recomposition replaces them — so a snapshot
+// stays valid while collections proceed underneath it.
+type snapshot struct {
+	// sets is the composed per-node sample set list, ascending global
 	// node id — element-for-element what a single-broker base station
 	// would serve.
-	Sets     []*sampling.SampleSet
-	Rate     float64
-	Nodes, N int
-	Version  uint64
-	Coverage float64
+	sets []*sampling.SampleSet
+	// idx is the columnar index built over exactly sets, nil when the
+	// build failed.
+	idx      *index.Index
+	rate     float64
+	nodes, n int
+	version  uint64
+	coverage float64
 }
 
 // Cluster partitions an IoT fleet across S broker shards by consistent
 // hashing on node id. Each shard is a self-contained iot.Network —
-// its own collection loop, base station, and columnar index — built
-// with the shard's global node ids so per-node sampling streams match
-// the single-broker network exactly. The cluster composes shard state
-// into one Source-compatible view and scatter-gathers collection
-// rounds across a bounded worker pool.
+// its own collection loop and base station — built with the shard's
+// global node ids so per-node sampling streams match the single-broker
+// network exactly. Collection rounds fan out across the shards
+// concurrently; after every round the cluster merges the shards'
+// sample sets into global node order and builds one columnar index
+// over them, so estimation sees exactly the state a single broker
+// would hold.
 //
 // Locking mirrors iot.Network: mutations (EnsureRate, IngestRound,
 // SetDown) serialize behind the cluster writer lock and recompose the
 // cached snapshot before releasing it; reads share the read lock and
 // return the immutable composed state. Reaching into a member network
-// directly (Shard) bypasses the cluster lock and its recomposition —
-// the same footgun as iot.Network.Base.
+// directly (Shard) bypasses the cluster lock and its recomposition, so
+// the composed snapshot goes stale.
 type Cluster struct {
 	mu   sync.RWMutex
 	ring *Ring
@@ -71,7 +59,7 @@ type Cluster struct {
 	ids   [][]int
 	k     int
 	// snap is the composed snapshot, rebuilt after every mutation.
-	snap Snapshot
+	snap snapshot
 	// clock counts cluster-level rounds for composed reports.
 	clock uint64
 }
@@ -141,8 +129,8 @@ func (c *Cluster) Owner(nodeID int) (int, error) {
 func (c *Cluster) Shard(s int) *iot.Network { return c.nets[s] }
 
 // recomposeLocked rebuilds the composed snapshot from per-shard state.
-// Callers hold c.mu for writing. Every slice is freshly allocated so
-// previously returned Snapshots stay immutable.
+// Callers hold c.mu for writing. Every slice and the index are freshly
+// built so previously returned snapshots stay immutable.
 func (c *Cluster) recomposeLocked() {
 	states := make([]iot.State, len(c.nets))
 	for s, nw := range c.nets {
@@ -150,20 +138,16 @@ func (c *Cluster) recomposeLocked() {
 			states[s] = nw.State()
 		}
 	}
-	snap := Snapshot{Views: make([]View, len(states))}
+	var snap snapshot
 	reported := 0
 	for _, st := range states {
 		reported += len(st.Sets)
 	}
-	snap.Sets = make([]*sampling.SampleSet, 0, reported)
+	snap.sets = make([]*sampling.SampleSet, 0, reported)
 	// K-way merge of the per-shard (id, set) lists by ascending global
-	// id, assigning each view's rows as its sets land in the composed
-	// order. Shard id lists are already ascending and disjoint.
+	// id. Shard id lists are already ascending and disjoint.
 	heads := make([]int, len(states))
-	for s, st := range states {
-		snap.Views[s] = View{Sets: st.Sets, Idx: st.Idx, Rows: make([]int, len(st.Sets))}
-	}
-	for len(snap.Sets) < reported {
+	for len(snap.sets) < reported {
 		best, bestID := -1, 0
 		for s, st := range states {
 			if heads[s] >= len(st.IDs) {
@@ -173,9 +157,14 @@ func (c *Cluster) recomposeLocked() {
 				best, bestID = s, id
 			}
 		}
-		snap.Views[best].Rows[heads[best]] = len(snap.Sets)
-		snap.Sets = append(snap.Sets, states[best].Sets[heads[best]])
+		snap.sets = append(snap.sets, states[best].Sets[heads[best]])
 		heads[best]++
+	}
+	// A build failure (the base stations validated every set, so only
+	// sizes outside the index's int32 columns) leaves idx nil; the
+	// engine then estimates over the sets.
+	if ix, err := index.Build(snap.sets); err == nil {
+		snap.idx = ix
 	}
 	// Scalars compose in the same units the single broker computes them:
 	// the rate is the min over the same per-node rates, coverage the
@@ -189,17 +178,17 @@ func (c *Cluster) recomposeLocked() {
 		if !haveRate || st.Rate < rate {
 			rate, haveRate = st.Rate, true
 		}
-		snap.Nodes += st.Nodes
-		snap.N += st.N
-		snap.Version += st.Version
+		snap.nodes += st.Nodes
+		snap.n += st.N
+		snap.version += st.Version
 		live += st.LiveRecords
 		total += st.TotalRecords
 	}
-	snap.Rate = rate
+	snap.rate = rate
 	if total == 0 {
-		snap.Coverage = 1
+		snap.coverage = 1
 	} else {
-		snap.Coverage = float64(live) / float64(total)
+		snap.coverage = float64(live) / float64(total)
 	}
 	c.snap = snap
 }
@@ -290,9 +279,9 @@ func (c *Cluster) EnsureRate(p float64) (*iot.CollectionReport, error) {
 	sort.Ints(rep.Satisfied)
 	sort.Ints(rep.Skipped)
 	sort.Ints(rep.CircuitOpen)
-	rep.Achieved = c.snap.Rate
-	rep.Coverage = c.snap.Coverage
-	rep.Version = c.snap.Version
+	rep.Achieved = c.snap.rate
+	rep.Coverage = c.snap.coverage
+	rep.Version = c.snap.version
 	return rep, rep.Err()
 }
 
@@ -358,7 +347,7 @@ func (c *Cluster) SetDown(nodeID int, down bool) error {
 func (c *Cluster) SampleSets() []*sampling.SampleSet {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.snap.Sets
+	return c.snap.sets
 }
 
 // Rate returns the fleet-wide guaranteed sampling rate: the minimum
@@ -367,21 +356,21 @@ func (c *Cluster) SampleSets() []*sampling.SampleSet {
 func (c *Cluster) Rate() float64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.snap.Rate
+	return c.snap.rate
 }
 
 // NumNodes returns the fleet-wide k.
 func (c *Cluster) NumNodes() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.snap.Nodes
+	return c.snap.nodes
 }
 
 // TotalN returns the fleet-wide |D|.
 func (c *Cluster) TotalN() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.snap.N
+	return c.snap.n
 }
 
 // Coverage returns the fraction of records held by currently reachable
@@ -389,27 +378,19 @@ func (c *Cluster) TotalN() int {
 func (c *Cluster) Coverage() float64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.snap.Coverage
+	return c.snap.coverage
 }
 
-// Snapshot implements the single-source view of the Source contract:
-// the composed sample sets with no cluster-wide columnar index (each
-// shard keeps its own; the engine's router consumes them through
-// ShardSnapshot). The sets and scalars are bit-identical to what the
+// Snapshot implements the Source contract: the composed sample sets,
+// the cluster-wide columnar index built over exactly those sets at the
+// last recompose (nil only if that build failed), and the composed
+// scalars. Sets, index and scalars are bit-identical to what the
 // equivalent single-broker network would report.
 func (c *Cluster) Snapshot() (sets []*sampling.SampleSet, idx *index.Index, rate float64, nodes, n int, version uint64, coverage float64) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.snap.Sets, nil, c.snap.Rate, c.snap.Nodes, c.snap.N, c.snap.Version, c.snap.Coverage
-}
-
-// ShardSnapshot returns the composed cross-shard snapshot, including
-// the per-shard estimation views the engine's query router
-// scatter-gathers over.
-func (c *Cluster) ShardSnapshot() Snapshot {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.snap
+	sn := c.snap
+	return sn.sets, sn.idx, sn.rate, sn.nodes, sn.n, sn.version, sn.coverage
 }
 
 // Cost returns the fleet-wide communication bill: the sum of every

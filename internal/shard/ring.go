@@ -1,18 +1,18 @@
 // Package shard partitions an IoT fleet across S broker shards, each
-// owning its own collection loop, base station, and columnar sample
-// index. A Cluster implements the broker engine's Source contract over
-// the composed state and additionally exposes per-shard views so the
-// engine's query router can scatter-gather estimation across shards.
+// owning its own collection loop and base station. A Cluster
+// implements the broker engine's Source contract over the composed
+// state: the shards' sample sets merged into global node order and one
+// columnar index built over them.
 //
 // Determinism is the design bar: node-to-shard assignment is a pure
 // function of (node id, shard count), every node keeps the per-id
 // sampling stream it would have in a single-broker network (shards are
 // built with global node ids — see iot.Config.NodeIDs), and the
-// composed snapshot reproduces the single-broker scalars bit-for-bit
-// (rate as the same float min, coverage from the same integer ratio).
-// The engine's router then reduces per-node estimate terms in global
-// node order, so released answers are bit-identical to the unsharded
-// engine for any shard count and any GOMAXPROCS.
+// composed snapshot reproduces the single-broker sets, index and
+// scalars bit-for-bit (rate as the same float min, coverage from the
+// same integer ratio). The engine estimates over it exactly as over a
+// single network, so released answers are bit-identical to the
+// unsharded engine for any shard count and any GOMAXPROCS.
 package shard
 
 import (

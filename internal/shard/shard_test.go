@@ -2,9 +2,11 @@ package shard
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
+	"privrange/internal/index"
 	"privrange/internal/iot"
 )
 
@@ -117,8 +119,8 @@ func TestClusterValidation(t *testing.T) {
 
 // TestClusterComposition pins that the composed snapshot reproduces the
 // single-broker network bit-for-bit: same sets in the same order, same
-// rate, same totals, same coverage — the invariant the engine's
-// bit-identity guarantee stands on.
+// columnar index, same rate, same totals, same coverage — the invariant
+// the engine's bit-identity guarantee stands on.
 func TestClusterComposition(t *testing.T) {
 	parts := testParts(12, 50)
 	for _, s := range []int{1, 2, 3, 8} {
@@ -137,10 +139,7 @@ func TestClusterComposition(t *testing.T) {
 			t.Fatalf("S=%d: %v", s, err)
 		}
 		wantSets, _, wantRate, wantNodes, wantN, _, wantCov := single.Snapshot()
-		gotSets, gotIdx, gotRate, gotNodes, gotN, _, gotCov := cluster.Snapshot()
-		if gotIdx != nil {
-			t.Errorf("S=%d: composed Snapshot carries a cluster-wide index", s)
-		}
+		gotSets, _, gotRate, gotNodes, gotN, _, gotCov := cluster.Snapshot()
 		if gotRate != wantRate || gotNodes != wantNodes || gotN != wantN || gotCov != wantCov {
 			t.Errorf("S=%d: scalars (%v,%d,%d,%v) != single (%v,%d,%d,%v)",
 				s, gotRate, gotNodes, gotN, gotCov, wantRate, wantNodes, wantN, wantCov)
@@ -159,23 +158,49 @@ func TestClusterComposition(t *testing.T) {
 				}
 			}
 		}
-		// Views must tile the composed rows exactly once.
-		snap := cluster.ShardSnapshot()
-		seen := make([]bool, len(snap.Sets))
-		for _, v := range snap.Views {
-			if len(v.Rows) != len(v.Sets) {
-				t.Fatalf("S=%d: view with %d rows over %d sets", s, len(v.Rows), len(v.Sets))
-			}
-			for _, row := range v.Rows {
-				if row < 0 || row >= len(seen) || seen[row] {
-					t.Fatalf("S=%d: row %d missing or claimed twice", s, row)
-				}
-				seen[row] = true
-			}
+		assertComposedIndex(t, fmt.Sprintf("S=%d", s), cluster, single)
+	}
+}
+
+// assertComposedIndex checks that the cluster's Snapshot carries a
+// columnar index built from exactly the sets it returns, and equal to
+// index.Build over the single-broker network's sets: the index the
+// engine estimates over is the one a single broker would build.
+func assertComposedIndex(t *testing.T, label string, cluster *Cluster, single *iot.Network) {
+	t.Helper()
+	sets, got, _, _, _, _, _ := cluster.Snapshot()
+	if got == nil {
+		t.Fatalf("%s: composed Snapshot carries no index", label)
+	}
+	own, err := index.Build(sets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIndexEqual(t, label+" vs its own sets", got, own)
+	want, err := index.Build(single.SampleSets())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIndexEqual(t, label+" vs single broker", got, want)
+}
+
+// assertIndexEqual compares two indexes node for node: shape, dataset
+// sizes, and every value and rank column bit for bit.
+func assertIndexEqual(t *testing.T, label string, got, want *index.Index) {
+	t.Helper()
+	if got.Nodes() != want.Nodes() || got.Samples() != want.Samples() || got.TotalN() != want.TotalN() {
+		t.Fatalf("%s: index shape (%d nodes, %d samples, N=%d) != (%d, %d, %d)", label,
+			got.Nodes(), got.Samples(), got.TotalN(), want.Nodes(), want.Samples(), want.TotalN())
+	}
+	for i := 0; i < want.Nodes(); i++ {
+		gv, gr, gn := got.Node(i)
+		wv, wr, wn := want.Node(i)
+		if gn != wn || len(gv) != len(wv) || len(gr) != len(wr) {
+			t.Fatalf("%s node %d: n=%d with %d samples != n=%d with %d", label, i, gn, len(gv), wn, len(wv))
 		}
-		for row, ok := range seen {
-			if !ok {
-				t.Fatalf("S=%d: row %d unclaimed", s, row)
+		for j := range wv {
+			if math.Float64bits(gv[j]) != math.Float64bits(wv[j]) || gr[j] != wr[j] {
+				t.Fatalf("%s node %d sample %d: (%v, %d) != (%v, %d)", label, i, j, gv[j], gr[j], wv[j], wr[j])
 			}
 		}
 	}
@@ -214,6 +239,7 @@ func TestClusterIngestAndSetDown(t *testing.T) {
 	if got, want := cluster.TotalN(), single.TotalN(); got != want {
 		t.Errorf("after ingest: N %d != %d", got, want)
 	}
+	assertComposedIndex(t, "after ingest", cluster, single)
 	if err := cluster.IngestRound(round[:3]); err == nil {
 		t.Error("short round: no error")
 	}
@@ -230,6 +256,7 @@ func TestClusterIngestAndSetDown(t *testing.T) {
 	if cluster.Coverage() >= 1 {
 		t.Errorf("down node: coverage %v not < 1", cluster.Coverage())
 	}
+	assertComposedIndex(t, "after SetDown", cluster, single)
 	if err := cluster.SetDown(99, true); err == nil {
 		t.Error("unknown node: no error")
 	}

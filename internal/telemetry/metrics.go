@@ -171,7 +171,7 @@ func (h *Histogram) Sum() float64 {
 // LatencyBuckets is the default bucket ladder for query-latency
 // histograms, in seconds: 1µs up to 10s, roughly ×2.5 per step. The
 // sub-10µs rungs exist because server-side phase self-times (cache
-// lookups, WAL appends, per-shard scatters) are routinely
+// lookups, WAL appends, estimator batches) are routinely
 // sub-millisecond: with a 10µs floor they all collapsed into the first
 // bucket and per-stage attribution could not rank them.
 var LatencyBuckets = []float64{

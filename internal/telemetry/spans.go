@@ -11,7 +11,7 @@ import (
 // a compact wire-propagable SpanContext, a deterministic counting
 // Sampler, and a lock-free SpanBuf ring that collects SpanRecords from
 // every stage of a request (client send, server handler, coalesced
-// batch, engine phases, per-shard scatter, WAL fsync).
+// batch, engine phases, WAL fsync).
 //
 // Determinism contract: nothing here draws randomness. Trace and span
 // ids come from atomic counters (the trace-id counter is seeded from
@@ -190,9 +190,8 @@ type spanSlot struct {
 
 // SpanBuf is a lock-free ring of completed spans. Writers reserve a
 // slot with one atomic add and take per-slot ownership with one CAS —
-// there is no global lock on the emit path, so per-shard scatter
-// goroutines and concurrent connection handlers never serialize on
-// tracing. A writer spins only when a snapshot reader holds its exact
+// there is no global lock on the emit path, so concurrent connection
+// handlers, batch releases and WAL fsyncs never serialize on tracing. A writer spins only when a snapshot reader holds its exact
 // slot mid-copy (rare and bounded). The ring overwrites oldest spans;
 // Emitted counts everything ever recorded so tests can detect loss.
 type SpanBuf struct {
@@ -395,77 +394,10 @@ func (b *SpanBuf) EmitRootSince(name string, sc SpanContext, start int64) {
 	})
 }
 
-// SpanGroup stamps sibling spans — one per shard of a scatter — under
-// a common parent without any clock reads in the caller: StartShard
-// and EndShard read the clock here, inside the detorder-excluded
-// telemetry package, so the scatter path itself stays clean. A nil
-// group is inert, so unsampled requests cost two nil checks.
-type SpanGroup struct {
-	buf     *SpanBuf
-	parent  SpanContext
-	name    string
-	dataset string
-}
-
-// NewSpanGroup returns a group emitting name spans under parent, or
-// nil when the parent is unsampled (so callers pass the group along
-// unconditionally).
-func (b *SpanBuf) NewSpanGroup(name, dataset string, parent SpanContext) *SpanGroup {
-	if b == nil || !parent.Sampled || !parent.Valid() {
-		return nil
-	}
-	return &SpanGroup{buf: b, parent: parent, name: name, dataset: dataset}
-}
-
-// StartShard returns an opaque start stamp (0 on a nil group).
-func (g *SpanGroup) StartShard() int64 {
-	if g == nil {
-		return 0
-	}
-	return time.Now().UnixNano()
-}
-
-// EndShard emits one shard span covering start→now. Safe to call from
-// per-shard goroutines concurrently: Emit is lock-free.
-func (g *SpanGroup) EndShard(shard int, start int64) {
-	if g == nil || start == 0 {
-		return
-	}
-	rec := SpanRecord{
-		TraceID:  g.parent.TraceID,
-		ParentID: g.parent.SpanID,
-		Name:     g.name,
-		Start:    start,
-		Dur:      time.Now().UnixNano() - start,
-	}
-	rec.Annot("shard", itoa(shard))
-	if g.dataset != "" {
-		rec.Annot("dataset", g.dataset)
-	}
-	g.buf.Emit(&rec)
-}
-
-// itoa is an allocation-free strconv.Itoa for small non-negative ints
-// (shard indexes); larger values fall back to strconv.
-func itoa(n int) string {
-	if n >= 0 && n < len(smallInts) {
-		return smallInts[n]
-	}
-	return strconv.Itoa(n)
-}
-
-var smallInts = func() [128]string {
-	var a [128]string
-	for i := range a {
-		a[i] = strconv.Itoa(i)
-	}
-	return a
-}()
-
 // Attribution aggregates per-stage self-time from the sampled span
-// stream into exact-bucket histograms keyed by (stage, dataset,
-// shard), so the ops snapshot can answer "p99 is fsync-bound on shard
-// 3" without storing every span. Quantiles from a 1-in-n head-sampled
+// stream into exact-bucket histograms keyed by (stage, dataset), so
+// the ops snapshot can answer "p99 is fsync-bound" without storing
+// every span. Quantiles from a 1-in-n head-sampled
 // stream are unbiased; counts are sampled counts.
 type Attribution struct {
 	reg *Registry
@@ -474,7 +406,7 @@ type Attribution struct {
 }
 
 type stageKey struct {
-	stage, dataset, shard string
+	stage, dataset string
 }
 
 // StageSecondsMetric is the metric family attribution observes into.
@@ -491,14 +423,14 @@ func (a *Attribution) observeSpan(rec *SpanRecord) {
 	if a == nil || rec.Dur < 0 {
 		return
 	}
-	key := stageKey{stage: rec.Name, dataset: rec.Attr("dataset"), shard: rec.Attr("shard")}
+	key := stageKey{stage: rec.Name, dataset: rec.Attr("dataset")}
 	a.mu.RLock()
 	h, ok := a.hs[key]
 	a.mu.RUnlock()
 	if !ok {
 		h = a.reg.Histogram(StageSecondsMetric,
 			"per-stage self-time from the sampled span stream", LatencyBuckets,
-			L("stage", key.stage), L("dataset", key.dataset), L("shard", key.shard))
+			L("stage", key.stage), L("dataset", key.dataset))
 		a.mu.Lock()
 		if prev, dup := a.hs[key]; dup {
 			h = prev

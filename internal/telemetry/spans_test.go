@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -143,8 +144,8 @@ func TestSpanBufConcurrentEmit(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				rec := SpanRecord{TraceID: uint64(w + 1), Name: "core.shard_scatter", Start: int64(i), Dur: 1}
-				rec.Annot("shard", itoa(w))
+				rec := SpanRecord{TraceID: uint64(w + 1), Name: "core.answer", Start: int64(i), Dur: 1}
+				rec.Annot("worker", strconv.Itoa(w))
 				b.Emit(&rec)
 			}
 		}(w)
@@ -154,10 +155,10 @@ func TestSpanBufConcurrentEmit(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 50; i++ {
 			for _, r := range b.SnapshotSpans() {
-				if r.TraceID == 0 || r.TraceID > workers || r.Name != "core.shard_scatter" {
+				if r.TraceID == 0 || r.TraceID > workers || r.Name != "core.answer" {
 					panic("snapshot read a torn or cross-wired span")
 				}
-				if r.Attr("shard") != itoa(int(r.TraceID-1)) {
+				if r.Attr("worker") != strconv.Itoa(int(r.TraceID-1)) {
 					panic("span attrs cross-wired between emitters")
 				}
 			}
@@ -275,53 +276,14 @@ func TestStartStampAndEmitSince(t *testing.T) {
 	}
 }
 
-func TestSpanGroupShards(t *testing.T) {
-	b := NewSpanBuf(16)
-	if g := b.NewSpanGroup("core.shard_scatter", "air", SpanContext{}); g != nil {
-		t.Fatal("unsampled parent must yield a nil group")
-	}
-	var nilGroup *SpanGroup
-	if nilGroup.StartShard() != 0 {
-		t.Fatal("nil group StartShard must be 0")
-	}
-	nilGroup.EndShard(0, 0) // must not panic
-
-	parent := b.NewRoot()
-	g := b.NewSpanGroup("core.shard_scatter", "air", parent)
-	var wg sync.WaitGroup
-	for s := 0; s < 4; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			start := g.StartShard()
-			g.EndShard(s, start)
-		}(s)
-	}
-	wg.Wait()
-	recs := b.SnapshotSpans()
-	if len(recs) != 4 {
-		t.Fatalf("want 4 shard spans, got %d", len(recs))
-	}
-	seen := make(map[string]bool)
-	for _, r := range recs {
-		if r.ParentID != parent.SpanID || r.Name != "core.shard_scatter" || r.Attr("dataset") != "air" {
-			t.Fatalf("shard span wrong: %+v", r)
-		}
-		seen[r.Attr("shard")] = true
-	}
-	for s := 0; s < 4; s++ {
-		if !seen[itoa(s)] {
-			t.Fatalf("shard %d span missing (have %v)", s, seen)
-		}
-	}
-}
-
 func TestAttributionFeedsStageHistograms(t *testing.T) {
 	r := NewRegistry()
 	b := r.Spans()
 	parent := b.NewRoot()
-	g := b.NewSpanGroup("core.shard_scatter", "air", parent)
-	g.EndShard(3, g.StartShard())
+	rec := SpanRecord{TraceID: parent.TraceID, SpanID: b.NextSpanID(), ParentID: parent.SpanID,
+		Name: "core.answer.estimate", Start: StartStamp(parent), Dur: 1}
+	rec.Annot("dataset", "air")
+	b.Emit(&rec)
 	b.EmitSince("wal.fsync", parent, StartStamp(parent))
 
 	snap := r.Snapshot()
@@ -331,10 +293,10 @@ func TestAttributionFeedsStageHistograms(t *testing.T) {
 			found[h.Labels] = true
 		}
 	}
-	wantShard := `{dataset="air",shard="3",stage="core.shard_scatter"}`
-	wantFsync := `{dataset="",shard="",stage="wal.fsync"}`
-	if !found[wantShard] || !found[wantFsync] {
-		t.Fatalf("stage histograms missing: have %v, want %q and %q", found, wantShard, wantFsync)
+	wantEstimate := `{dataset="air",stage="core.answer.estimate"}`
+	wantFsync := `{dataset="",stage="wal.fsync"}`
+	if !found[wantEstimate] || !found[wantFsync] {
+		t.Fatalf("stage histograms missing: have %v, want %q and %q", found, wantEstimate, wantFsync)
 	}
 }
 

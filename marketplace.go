@@ -145,10 +145,10 @@ func (m *Marketplace) instrumentLocked(name string, h datasetHandles) {
 // sampling decision is a deterministic counter — no randomness, no
 // clock — so tracing can never perturb released answers), and sampled
 // requests emit spans for every stage — handler, coalesced batch,
-// engine phases, per-shard scatter, WAL append/fsync — retrievable as
-// JSON from the ops endpoint's /traces route. Requests arriving with a
-// sampled wire context (market.WithTracing clients) are always traced
-// regardless of n. n <= 0 disables head sampling; wire-joined traces
+// engine phases, WAL append/fsync — retrievable as JSON from the ops
+// endpoint's /traces route. Requests arriving with a sampled wire
+// context (market.WithTracing clients) are always traced regardless of
+// n. n <= 0 disables head sampling; wire-joined traces
 // still record. Enables telemetry if needed. Idempotent.
 func (m *Marketplace) EnableTracing(sampleN int) {
 	m.enableTelemetry().SetTraceSampling(sampleN)

@@ -106,11 +106,11 @@ type Options struct {
 	Nodes int
 	// Shards is the number of broker shards the fleet is partitioned
 	// across (consistent hashing on node id). Each shard owns its own
-	// collection loop, base station, and columnar sample index; queries
-	// scatter-gather across shards and release one answer with exactly
-	// one noise draw and one budget charge, bit-identical to the
-	// single-broker engine for any shard count. Zero or one selects the
-	// single-broker deployment.
+	// collection loop and base station, and collection rounds run on
+	// every shard concurrently. After each round the shards' samples
+	// are merged into one columnar index that queries estimate over,
+	// so answers are bit-identical to the single-broker engine for any
+	// shard count. Zero or one selects the single-broker deployment.
 	Shards int
 	// Seed drives all randomness (sampling and noise) deterministically.
 	Seed int64

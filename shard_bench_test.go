@@ -7,10 +7,10 @@ import (
 
 // BenchmarkShardBatchThroughput compares released-batch throughput of
 // the single-broker engine (S=1 spelled Shards:0) against sharded
-// deployments: the scatter-gather router fans the same batch across
-// per-shard columnar indexes. Answers are bit-identical across the
-// axis, so this measures pure routing overhead vs parallel win.
-// `make bench-shard` records the series in results/bench-shard.txt.
+// deployments. A sharded cluster serves one index composed from its
+// shards, so every deployment runs the same batch kernel over the same
+// index: this checks that a sharded release costs what an unsharded
+// one does.
 func BenchmarkShardBatchThroughput(b *testing.B) {
 	values := make([]float64, 200_000)
 	for i := range values {
@@ -32,7 +32,7 @@ func BenchmarkShardBatchThroughput(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			// Warm: establish the sampling rate and per-shard indexes once.
+			// Warm: establish the sampling rate and the index once.
 			if _, err := sys.CountBatch(ranges[:1], acc); err != nil {
 				b.Fatal(err)
 			}
@@ -47,9 +47,9 @@ func BenchmarkShardBatchThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkShardCollectionRound measures one full scatter-gathered
-// collection round (EnsureRate across every shard concurrently) against
-// the single-broker loop.
+// BenchmarkShardCollectionRound measures one full collection round (an
+// Ingest that refreshes every shard concurrently, then builds the
+// composed index) against the single-broker loop.
 func BenchmarkShardCollectionRound(b *testing.B) {
 	values := make([]float64, 100_000)
 	for i := range values {
