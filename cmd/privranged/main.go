@@ -56,6 +56,13 @@ func main() {
 }
 
 func run(addr, dataPath string, nodes int, seed int64, baseFee, tariffC, budget float64, prepaid bool, walDir string, custCap float64, opsAddr string, coalesce bool, coWindow time.Duration, traceN int, sloSpec string, serveCfg privrange.ServeConfig) error {
+	// Take over SIGINT/SIGTERM before anything else: a signal that
+	// arrives during start-up waits in the channel and shuts the daemon
+	// down cleanly once it is serving, instead of killing it by the
+	// default action with the WAL uncompacted.
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(stop)
 	table, err := loadTable(dataPath, seed)
 	if err != nil {
 		return err
@@ -128,8 +135,6 @@ func run(addr, dataPath string, nodes int, seed int64, baseFee, tariffC, budget 
 		fmt.Printf("privranged: ops endpoint (metrics, snapshot, pprof) on http://%s\n", opsSrv.Addr())
 	}
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop
 	fmt.Println("privranged: shutting down")
 	if err := srv.Close(); err != nil {

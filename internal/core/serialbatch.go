@@ -178,11 +178,6 @@ func (e *Engine) answerBatchSerial(queries []estimator.Query, acc estimator.Accu
 		snap = planSnap
 		plan = p
 		indexed = snap.idx != nil
-		mech, err = dp.NewMechanism(p.Epsilon, p.Sensitivity)
-		if err != nil {
-			failUncached(err)
-			return out, outcomeError, indexed, 0, nil
-		}
 		// Estimate every valid non-cached query in one kernel pass.
 		// Estimation is pure — no budget, no RNG — so estimating an
 		// in-batch duplicate that later hits the cache wastes only
@@ -205,6 +200,13 @@ func (e *Engine) answerBatchSerial(queries []estimator.Query, acc estimator.Accu
 		}
 		for bi, i := range slot {
 			raws[i] = dst[bi]
+		}
+		// The mechanism is built after the estimate mark, so perturb
+		// times the whole release: mechanism, spends and draws.
+		mech, err = dp.NewMechanism(p.Epsilon, p.Sensitivity)
+		if err != nil {
+			failUncached(err)
+			return out, outcomeError, indexed, 0, nil
 		}
 	}
 	// Release phase: one critical section for the whole batch, walking

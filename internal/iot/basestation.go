@@ -59,7 +59,9 @@ func (b *BaseStation) HandleReport(rep *wire.SampleReport) error {
 		return fmt.Errorf("iot: node %d incremental report with n=%d over stored n=%d (node must replace)",
 			rep.NodeID, rep.N, existing.N)
 	}
-	merged := mergeByRank(existing.Samples, rep.Samples)
+	// Nodes never reship a rank within a generation; Validate rejects
+	// the merge if one does.
+	merged := sampling.MergeByRank(existing.Samples, rep.Samples)
 	set := &sampling.SampleSet{N: rep.N, Samples: merged}
 	if err := set.Validate(); err != nil {
 		return fmt.Errorf("iot: node %d merged report: %w", rep.NodeID, err)
@@ -105,26 +107,6 @@ func (b *BaseStation) Index() (*index.Index, bool) {
 		return nil, false
 	}
 	return b.idx, true
-}
-
-// mergeByRank merges two rank-sorted sample slices, rejecting nothing:
-// duplicates cannot occur because nodes never reship a rank within a
-// generation, and Validate catches it if they do.
-func mergeByRank(a, ext []sampling.Sample) []sampling.Sample {
-	out := make([]sampling.Sample, 0, len(a)+len(ext))
-	i, j := 0, 0
-	for i < len(a) && j < len(ext) {
-		if a[i].Rank <= ext[j].Rank {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, ext[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, ext[j:]...)
-	return out
 }
 
 // HandleHeartbeat records node liveness (and dataset size updates).

@@ -174,6 +174,14 @@ func TestEnsureRateValidation(t *testing.T) {
 	if _, err := nw.EnsureRate(1.1); err == nil {
 		t.Error("rate > 1 should fail")
 	}
+	// NaN is the caller's error, not the links': it must fail before a
+	// round runs and charges the nodes' transport with corruption.
+	if rep, err := nw.EnsureRate(math.NaN()); err == nil || rep != nil {
+		t.Errorf("NaN rate: report %v, err %v; want a validation error and no round", rep, err)
+	}
+	if cost := nw.Cost(); cost.Messages != 0 || cost.CorruptedMessages != 0 {
+		t.Errorf("rejected rates still ran a round: %+v", cost)
+	}
 }
 
 func TestTreeTopologyCostsMoreBytes(t *testing.T) {

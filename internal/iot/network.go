@@ -428,7 +428,7 @@ func (nw *Network) EnsureRate(p float64) (*CollectionReport, error) {
 }
 
 func (nw *Network) collect(p float64) (*CollectionReport, error) {
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		return nil, fmt.Errorf("iot: rate %v outside [0, 1]", p)
 	}
 	nw.clock++

@@ -24,23 +24,23 @@ type Node struct {
 	// report; when the store redrew since, the next report must replace
 	// rather than merge.
 	shippedGen int
-	// shippedRanks tracks which sample ranks of the current generation
-	// the base station has confirmed receiving.
-	shippedRanks map[int]bool
-	// pending is the last built-but-unacknowledged report. Shipment
-	// bookkeeping only advances on AckReport, so a report lost in
-	// transit is simply rebuilt by the next HandleResample — nothing is
-	// silently dropped.
-	pending *wire.SampleReport
+	// shipped holds, ascending by rank, the samples of the current
+	// generation the base station has confirmed receiving.
+	shipped []sampling.Sample
+	// pending is the last built-but-unacknowledged report and
+	// pendingSet the whole sample it was cut from. Shipment bookkeeping
+	// only advances on AckReport, so a report lost in transit is simply
+	// rebuilt by the next HandleResample — nothing is silently dropped.
+	pending    *wire.SampleReport
+	pendingSet []sampling.Sample
 }
 
 // NewNode returns an empty node with deterministic sampling behaviour.
 func NewNode(id int, seed int64) *Node {
 	return &Node{
-		id:           id,
-		store:        sampling.NewNodeStore(id, seed),
-		shippedGen:   -1,
-		shippedRanks: make(map[int]bool),
+		id:         id,
+		store:      sampling.NewNodeStore(id, seed),
+		shippedGen: -1,
 	}
 }
 
@@ -88,33 +88,38 @@ func (n *Node) HandleResample(cmd *wire.Resample) (*wire.SampleReport, error) {
 		report.Replace = true
 		report.Samples = set.Samples
 	} else {
-		// Top-up: ship only samples the base station has not confirmed.
+		// Top-up: ship only samples the base station has not confirmed,
+		// the sorted difference of the sample's and the shipped ranks.
+		shipped := n.shipped
 		for _, s := range set.Samples {
-			if !n.shippedRanks[s.Rank] {
+			for len(shipped) > 0 && shipped[0].Rank < s.Rank {
+				shipped = shipped[1:]
+			}
+			if len(shipped) == 0 || shipped[0].Rank != s.Rank {
 				report.Samples = append(report.Samples, s)
 			}
 		}
 	}
-	n.pending = report
+	n.pending, n.pendingSet = report, set.Samples
 	return report, nil
 }
 
 // AckReport confirms that the base station received the report returned
 // by the last HandleResample; only then does the node stop reshipping
 // those samples. Acking with no pending report is a no-op.
+//
+// Within a generation the sample only grows, so the samples shipped
+// before the report are a subset of the set it was cut from: after the
+// ack the base station holds exactly that set.
 func (n *Node) AckReport() {
-	rep := n.pending
-	if rep == nil {
+	if n.pending == nil {
 		return
 	}
-	n.pending = nil
-	if rep.Replace {
+	if n.pending.Replace {
 		n.shippedGen = n.store.Generation()
-		n.shippedRanks = make(map[int]bool, len(rep.Samples))
 	}
-	for _, s := range rep.Samples {
-		n.shippedRanks[s.Rank] = true
-	}
+	n.shipped = n.pendingSet
+	n.pending, n.pendingSet = nil, nil
 }
 
 // Heartbeat produces the node's periodic liveness message.

@@ -1,9 +1,10 @@
 // Package sampling implements the node-side sampling substrate of the
 // paper: an order-statistic tree over each node's local data (so local
 // ranks r(x, i) cost O(log n) even while data keeps arriving), Bernoulli
-// rank-annotated sampling, and sample stores that support the paper's
-// accuracy-driven sample top-up ("if the existing samples are unable to
-// satisfy the query accuracy requirement, more samples should be drawn").
+// rank-annotated sampling that costs O(samples) rather than O(n_i), and
+// sample stores that support the paper's accuracy-driven sample top-up
+// ("if the existing samples are unable to satisfy the query accuracy
+// requirement, more samples should be drawn").
 //
 // Rank semantics: node i keeps its local dataset D_i in sorted order;
 // the j-th instance in that order has rank j (1-based). Duplicate values
@@ -179,23 +180,32 @@ func (t *OSTree) Select(r int) (float64, error) {
 	return 0, fmt.Errorf("sampling: select fell off tree (corrupt size)")
 }
 
-// Sorted returns all instances in non-decreasing order. The result is a
-// fresh slice of length Len().
-func (t *OSTree) Sorted() []float64 {
-	out := make([]float64, 0, t.size)
-	var walk func(n *osNode)
-	walk = func(n *osNode) {
-		if n == nil {
-			return
-		}
-		walk(n.left)
-		for i := 0; i < n.count; i++ {
-			out = append(out, n.value)
-		}
-		walk(n.right)
+// selectInto sets samples[j].Value to the value of the instance with
+// rank samples[j].Rank, for every j. The ranks must be strictly
+// ascending within [1, Len()]. It is one in-order walk that enters only
+// subtrees holding a wanted rank, so it visits O(min(distinct values,
+// len(samples)·height)) nodes; duplicates of a value share one node.
+func (t *OSTree) selectInto(samples []Sample) {
+	selectWalk(t.root, 0, samples)
+}
+
+// selectWalk fills samples, whose ranks all lie in (base, base+n.size].
+func selectWalk(n *osNode, base int, samples []Sample) {
+	if len(samples) == 0 {
+		return
 	}
-	walk(t.root)
-	return out
+	leftEnd := base + nodeSize(n.left)
+	i := 0
+	for i < len(samples) && samples[i].Rank <= leftEnd {
+		i++
+	}
+	selectWalk(n.left, base, samples[:i])
+	j := i
+	for j < len(samples) && samples[j].Rank <= leftEnd+n.count {
+		samples[j].Value = n.value
+		j++
+	}
+	selectWalk(n.right, leftEnd+n.count, samples[j:])
 }
 
 // Min returns the smallest stored value. ok is false when the tree is

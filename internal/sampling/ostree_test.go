@@ -54,11 +54,9 @@ func TestOSTreeBasic(t *testing.T) {
 	if max, _ := tree.Max(); max != 9 {
 		t.Errorf("Max = %v, want 9", max)
 	}
-	wantSorted := []float64{1, 3, 3, 5, 5, 5, 8, 9}
-	got := tree.Sorted()
-	for i, v := range wantSorted {
-		if got[i] != v {
-			t.Fatalf("Sorted = %v, want %v", got, wantSorted)
+	for r, want := range []float64{1, 3, 3, 5, 5, 5, 8, 9} {
+		if got, err := tree.Select(r + 1); err != nil || got != want {
+			t.Fatalf("Select(%d) = %v, %v; want %v", r+1, got, err, want)
 		}
 	}
 	if r := tree.RankLT(5); r != 3 {
@@ -97,6 +95,34 @@ func TestOSTreeSelect(t *testing.T) {
 	}
 	if _, err := tree.Select(7); err == nil {
 		t.Error("Select(len+1) should fail")
+	}
+}
+
+// TestOSTreeSelectIntoMatchesSelect checks the one-walk multi-select
+// against Select, rank by rank, on duplicate-heavy trees and on random
+// ascending rank subsets, including the first and last rank.
+func TestOSTreeSelectIntoMatchesSelect(t *testing.T) {
+	t.Parallel()
+	rng := stats.NewRNG(17)
+	for trial := 0; trial < 200; trial++ {
+		tree := NewOSTree(int64(trial))
+		size := 1 + rng.Intn(300)
+		for i := 0; i < size; i++ {
+			tree.Insert(float64(rng.Intn(1 + trial%40)))
+		}
+		var samples []Sample
+		keep := rng.Float64()
+		for r := 1; r <= size; r++ {
+			if r == 1 || r == size || rng.Float64() < keep {
+				samples = append(samples, Sample{Rank: r, Value: math.NaN()})
+			}
+		}
+		tree.selectInto(samples)
+		for _, s := range samples {
+			if want, err := tree.Select(s.Rank); err != nil || s.Value != want {
+				t.Fatalf("trial %d: rank %d got %v, Select gives %v (%v)", trial, s.Rank, s.Value, want, err)
+			}
+		}
 	}
 }
 

@@ -49,6 +49,25 @@ func (s *SampleSet) Validate() error {
 	return nil
 }
 
+// MergeByRank returns, in a new slice, the rank-ascending union of two
+// rank-ascending sample slices. It drops nothing: a rank present in both
+// appears twice, which Validate rejects.
+func MergeByRank(a, b []Sample) []Sample {
+	out := make([]Sample, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if a[i].Rank <= b[j].Rank {
+			out = append(out, a[i])
+			i++
+		} else {
+			out = append(out, b[j])
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
+}
+
 // PredecessorStrict returns the sampled instance with the largest rank
 // whose value is strictly less than l. ok is false when no sample lies
 // below l — the paper's ω̄_p case.
@@ -102,7 +121,7 @@ func (s *SampleSet) CountInRange(l, u float64) (int, error) {
 // must be in non-decreasing order; Draw returns an error otherwise, or
 // when p is outside [0, 1].
 func Draw(sorted []float64, p float64, rng *stats.RNG) (*SampleSet, error) {
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		return nil, fmt.Errorf("sampling: probability %v outside [0, 1]", p)
 	}
 	if !sort.Float64sAreSorted(sorted) {

@@ -30,6 +30,41 @@ func TestDrawValidatesInput(t *testing.T) {
 	if _, err := Draw([]float64{1, 2}, 1.1, rng); err == nil {
 		t.Error("p > 1 should fail")
 	}
+	if _, err := Draw([]float64{1, 2}, math.NaN(), rng); err == nil {
+		t.Error("NaN p should fail")
+	}
+}
+
+// TestDrawRankByRank is TestNodeStoreRankByRank for Draw: over many
+// fixed-seed draws every rank's inclusion frequency is within 5 standard
+// errors of p, and every value is the sorted input at its rank.
+func TestDrawRankByRank(t *testing.T) {
+	t.Parallel()
+	const size, trials = 50, 4000
+	sorted := make([]float64, size)
+	for i := range sorted {
+		sorted[i] = float64(i / 4) // runs of duplicates
+	}
+	for _, p := range []float64{0.2, 0.03, 0.9} {
+		counts := make([]int, size+1)
+		rng := stats.NewRNG(31)
+		for k := 0; k < trials; k++ {
+			set, err := Draw(sorted, p, rng.Child(int64(k)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := set.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range set.Samples {
+				if s.Value != sorted[s.Rank-1] {
+					t.Fatalf("rank %d holds %v, want %v", s.Rank, s.Value, sorted[s.Rank-1])
+				}
+				counts[s.Rank]++
+			}
+		}
+		checkInclusion(t, "Draw", counts, trials, p)
+	}
 }
 
 func TestDrawExtremes(t *testing.T) {

@@ -2,14 +2,16 @@ package sampling
 
 import (
 	"fmt"
+	"math"
 
 	"privrange/internal/stats"
 )
 
 // NodeStore is the node-side data store: an order-statistic tree holding
-// the node's full local dataset D_i, plus the bookkeeping needed to grow
-// an existing Bernoulli sample to a higher rate without discarding the
-// samples already shipped (the paper's "collect more samples" path).
+// the node's full local dataset D_i, plus the current sample as ascending
+// ranks with their values, so an existing Bernoulli sample can grow to a
+// higher rate without discarding the samples already shipped (the
+// paper's "collect more samples" path).
 //
 // Top-up rule: a sample drawn at rate p0 is upgraded to rate p1 > p0 by
 // including each previously unsampled instance independently with
@@ -17,23 +19,21 @@ import (
 // p1 and remain independent across instances. The top-up is only valid
 // while the underlying data is unchanged — any insert invalidates it and
 // forces a fresh draw.
+//
+// Both draws step over geometric gaps between picks (THEORY §6) and
+// fetch the picked values in one walk of the tree, so a draw costs
+// O(samples) random variates and visits only tree nodes that hold a
+// picked rank.
 type NodeStore struct {
 	tree  *OSTree
 	rng   *stats.RNG
 	id    int
 	rate  float64
-	taken []bool // parallel to the sorted snapshot backing the last draw
-	dirty bool   // data changed since the last draw
-	gen   int    // incremented on every full (non-top-up) draw
-	// sorted caches tree.Sorted() for the snapshot backing the last
-	// draw; valid exactly while !dirty, so top-ups and repeat SampleAt
-	// calls at an unchanged rate reuse it instead of re-walking (and
-	// re-allocating) the whole tree per draw.
-	sorted []float64
-	// count is the running number of taken instances in the current
-	// sample, maintained incrementally by fullDraw and topUp so
-	// SampleCount never has to scan taken.
-	count int
+	dirty bool // data changed since the last draw
+	gen   int  // incremented on every full (non-top-up) draw
+	// sample is the current sample, ascending by rank. SampleAt hands
+	// out copies, so draws may reuse its backing array.
+	sample []Sample
 }
 
 // NewNodeStore returns an empty store for node id. Sampling and tree
@@ -80,33 +80,28 @@ func (n *NodeStore) CountRange(l, u float64) (int, error) {
 
 // SampleAt returns a rank-annotated Bernoulli sample of the current local
 // dataset at rate p. When the data is unchanged and p is at least the
-// previous rate, the previous sample is topped up in place (the instances
-// already shipped stay in the set); otherwise a fresh draw happens. The
+// previous rate, the previous sample is topped up (the instances already
+// shipped stay in the set); otherwise a fresh draw happens. The
 // returned set is a copy safe to retain.
 func (n *NodeStore) SampleAt(p float64) (*SampleSet, error) {
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		return nil, fmt.Errorf("sampling: probability %v outside [0, 1]", p)
 	}
 	switch {
-	case n.dirty || p < n.rate || n.taken == nil:
+	case n.dirty || p < n.rate:
 		n.fullDraw(p)
 	case p > n.rate:
 		n.topUp(p)
 	}
 	n.rate = p
-	return n.currentSet(), nil
+	samples := make([]Sample, len(n.sample))
+	copy(samples, n.sample)
+	return &SampleSet{N: n.tree.Len(), Samples: samples}, nil
 }
 
 func (n *NodeStore) fullDraw(p float64) {
-	n.sorted = n.tree.Sorted()
-	n.taken = make([]bool, len(n.sorted))
-	n.count = 0
-	for j := range n.taken {
-		if n.rng.Bernoulli(p) {
-			n.taken[j] = true
-			n.count++
-		}
-	}
+	n.sample = bernoulliRanks(n.sample[:0], n.tree.Len(), p, n.rng)
+	n.tree.selectInto(n.sample)
 	n.dirty = false
 	n.gen++
 }
@@ -117,34 +112,50 @@ func (n *NodeStore) fullDraw(p float64) {
 // shipped samples are still part of the current sample.
 func (n *NodeStore) Generation() int { return n.gen }
 
+// topUp runs the gap kernel over the unsampled positions only, at
+// Pr[include | not yet included] = (p − rate) / (1 − rate), then maps
+// each pick back to its rank and merges it into the sample.
 func (n *NodeStore) topUp(p float64) {
-	// Pr[include | not yet included] = (p − rate) / (1 − rate).
 	q := (p - n.rate) / (1 - n.rate)
-	for j, already := range n.taken {
-		if !already && n.rng.Bernoulli(q) {
-			n.taken[j] = true
-			n.count++
+	add := bernoulliRanks(nil, n.tree.Len()-len(n.sample), q, n.rng)
+	// The u-th unsampled rank is u plus the number of sampled ranks
+	// below it; both sequences ascend, so one pass maps them all.
+	j := 0
+	for i := range add {
+		for j < len(n.sample) && n.sample[j].Rank <= add[i].Rank+j {
+			j++
 		}
+		add[i].Rank += j
 	}
-}
-
-// currentSet materializes the sample from the cached sorted snapshot —
-// valid because every path that dirties the data forces fullDraw (which
-// refreshes the cache) before reaching here.
-func (n *NodeStore) currentSet() *SampleSet {
-	set := &SampleSet{
-		N:       len(n.sorted),
-		Samples: make([]Sample, 0, n.count),
-	}
-	for j, took := range n.taken {
-		if took {
-			set.Samples = append(set.Samples, Sample{Value: n.sorted[j], Rank: j + 1})
-		}
-	}
-	return set
+	n.tree.selectInto(add)
+	n.sample = MergeByRank(n.sample, add)
 }
 
 // SampleCount returns how many instances the current sample holds (0
-// before any draw). O(1): the count is maintained across draws and
-// top-ups rather than recounted.
-func (n *NodeStore) SampleCount() int { return n.count }
+// before any draw).
+func (n *NodeStore) SampleCount() int { return len(n.sample) }
+
+// bernoulliRanks appends to dst one Sample, with only Rank set, for each
+// position of 1..n that independent Bernoulli(q) trials pick, in
+// ascending order. It steps over the gaps between picks instead of
+// visiting every position: the failures before each success of i.i.d.
+// Bernoulli(q) trials are i.i.d. Geometric(q) (THEORY §6), so the picks
+// have exactly the law of one coin per position at O(picks) cost. q must
+// lie in [0, 1]; q = 0 picks nothing and q = 1 picks every position.
+func bernoulliRanks(dst []Sample, n int, q float64, rng *stats.RNG) []Sample {
+	if q <= 0 {
+		return dst
+	}
+	// A gap ⌊E·scale⌋ with E ~ Exp(1) and scale = −1/ln(1−q) is
+	// Geometric(q): Pr[⌊E·scale⌋ ≥ k] = e^{k·ln(1−q)} = (1−q)^k. The
+	// scale is 0 at q = 1, where every gap is 0.
+	scale := -1 / math.Log1p(-q)
+	for pos := 0; ; {
+		gap := math.Floor(rng.Exponential(scale))
+		if gap >= float64(n-pos) {
+			return dst
+		}
+		pos += 1 + int(gap)
+		dst = append(dst, Sample{Rank: pos})
+	}
+}

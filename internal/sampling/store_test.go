@@ -43,6 +43,74 @@ func TestNodeStoreRejectsBadRate(t *testing.T) {
 	if _, err := ns.SampleAt(1.5); err == nil {
 		t.Error("rate > 1 should fail")
 	}
+	if _, err := ns.SampleAt(math.NaN()); err == nil {
+		t.Error("NaN rate should fail")
+	}
+}
+
+// TestNodeStoreRankByRank checks the gap sampler one rank at a time over
+// many stores with a fixed seed: after a full draw at p and after a
+// top-up to p1, every rank's inclusion frequency is within 5 standard
+// errors of p (p1), so an off-by-one that never picks rank 1 or rank n
+// fails; every value equals Select(rank); a top-up keeps every rank of
+// the draw it extends.
+func TestNodeStoreRankByRank(t *testing.T) {
+	t.Parallel()
+	const size, stores = 50, 4000
+	for _, rates := range [][2]float64{{0.2, 0.5}, {0.03, 0.9}} {
+		p, p1 := rates[0], rates[1]
+		drawn := make([]int, size+1)
+		topped := make([]int, size+1)
+		for k := 0; k < stores; k++ {
+			ns := NewNodeStore(k, int64(1000+k))
+			for i := 0; i < size; i++ {
+				ns.Add(float64((i * 7) % 9)) // duplicates, out of order
+			}
+			low, err := ns.SampleAt(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			high, err := ns.SampleAt(p1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inHigh := make(map[int]bool, len(high.Samples))
+			for _, set := range []*SampleSet{low, high} {
+				if err := set.Validate(); err != nil || set.N != size {
+					t.Fatalf("store %d: set over N=%d invalid: %v", k, set.N, err)
+				}
+				for _, s := range set.Samples {
+					if want, _ := ns.tree.Select(s.Rank); s.Value != want {
+						t.Fatalf("store %d: rank %d holds %v, Select gives %v", k, s.Rank, s.Value, want)
+					}
+				}
+			}
+			for _, s := range high.Samples {
+				topped[s.Rank]++
+				inHigh[s.Rank] = true
+			}
+			for _, s := range low.Samples {
+				drawn[s.Rank]++
+				if !inHigh[s.Rank] {
+					t.Fatalf("store %d: top-up %v→%v dropped rank %d", k, p, p1, s.Rank)
+				}
+			}
+		}
+		checkInclusion(t, "full draw", drawn, stores, p)
+		checkInclusion(t, "top-up", topped, stores, p1)
+	}
+}
+
+// checkInclusion fails when any rank's inclusion frequency over trials
+// lies more than 5 standard errors from p. counts is indexed by rank.
+func checkInclusion(t *testing.T, stage string, counts []int, trials int, p float64) {
+	t.Helper()
+	se := math.Sqrt(p * (1 - p) / float64(trials))
+	for r := 1; r < len(counts); r++ {
+		if got := float64(counts[r]) / float64(trials); math.Abs(got-p) > 5*se {
+			t.Errorf("%s at p=%v: rank %d included with frequency %v, want %v ± %v", stage, p, r, got, p, 5*se)
+		}
+	}
 }
 
 func TestNodeStoreTopUpPreservesExistingSamples(t *testing.T) {
@@ -145,9 +213,8 @@ func TestNodeStoreSameRateIsStable(t *testing.T) {
 	}
 }
 
-// TestSampleCountTracksDrawsAndTopUps pins the O(1) running counter:
-// SampleCount must equal len(currentSet().Samples) across full draws,
-// top-ups and data invalidation, without ever rescanning taken.
+// TestSampleCountTracksDrawsAndTopUps pins SampleCount to the sample
+// SampleAt returns, across full draws, top-ups and data invalidation.
 func TestSampleCountTracksDrawsAndTopUps(t *testing.T) {
 	t.Parallel()
 	ns := NewNodeStore(2, 11)
@@ -196,8 +263,9 @@ func TestSampleCountTracksDrawsAndTopUps(t *testing.T) {
 	}
 }
 
-// TestCachedSortedSeesNewData guards the sorted-snapshot cache: a draw
-// after an insert must sample the new value's world, not the cached one.
+// TestCachedSortedSeesNewData guards the stored sample against stale
+// ranks: a draw after an insert must sample the new value's world, not
+// the sample kept from before it.
 func TestCachedSortedSeesNewData(t *testing.T) {
 	t.Parallel()
 	ns := NewNodeStore(4, 23)

@@ -11,8 +11,8 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -38,10 +38,11 @@ const maxSamplesPerMessage = 1 << 24
 type Message interface {
 	// Tag returns the message's wire type tag.
 	Tag() byte
-	// encodeBody appends the body (everything after the tag) to w.
-	encodeBody(w *bytes.Buffer)
-	// decodeBody parses the body from r.
-	decodeBody(r *bytes.Reader) error
+	// appendBody appends the body (everything after the tag) to b.
+	appendBody(b []byte) []byte
+	// decodeBody parses the body from the front of b and returns the
+	// bytes that follow it.
+	decodeBody(b []byte) ([]byte, error)
 }
 
 // SampleReport carries a batch of rank-annotated samples from a node,
@@ -109,16 +110,13 @@ type TraceContext struct {
 // Tag implements Message.
 func (*TraceContext) Tag() byte { return TagTraceContext }
 
-// encodeBufs and decodeReaders recycle the codec's scratch objects
-// across messages: the ingest path encodes and decodes one message per
-// node per round, and a fresh bytes.Buffer per Encode re-pays its
-// growth allocations every time. Pooling changes neither the wire
-// format nor the byte accounting — Encode still returns an exact-length
-// private slice, and the pooled objects never escape this package.
-var (
-	encodeBufs    = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-	decodeReaders = sync.Pool{New: func() any { return new(bytes.Reader) }}
-)
+// encodeBufs recycles the codec's scratch buffers across messages: the
+// ingest path encodes one message per node per round, and a fresh
+// buffer per Encode re-pays its growth allocations every time. Pooling
+// changes neither the wire format nor the byte accounting — Encode
+// still returns an exact-length private slice, and the pooled buffers
+// never escape this package.
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Encode serializes a message to its wire form. The returned slice is
 // freshly allocated and owned by the caller.
@@ -126,12 +124,11 @@ func Encode(m Message) ([]byte, error) {
 	if m == nil {
 		return nil, fmt.Errorf("wire: nil message")
 	}
-	buf := encodeBufs.Get().(*bytes.Buffer)
-	buf.Reset()
-	buf.WriteByte(m.Tag())
-	m.encodeBody(buf)
-	out := make([]byte, buf.Len())
-	copy(out, buf.Bytes())
+	buf := encodeBufs.Get().(*[]byte)
+	b := m.appendBody(append((*buf)[:0], m.Tag()))
+	out := make([]byte, len(b))
+	copy(out, b)
+	*buf = b
 	encodeBufs.Put(buf)
 	return out, nil
 }
@@ -142,15 +139,7 @@ func Decode(data []byte) (Message, int, error) {
 	if len(data) == 0 {
 		return nil, 0, fmt.Errorf("wire: empty input")
 	}
-	r := decodeReaders.Get().(*bytes.Reader)
-	r.Reset(data)
-	defer func() {
-		// Drop the reference to the caller's data before pooling so the
-		// pool never pins a payload alive.
-		r.Reset(nil)
-		decodeReaders.Put(r)
-	}()
-	tag, _ := r.ReadByte()
+	tag := data[0]
 	var m Message
 	switch tag {
 	case TagSampleReport:
@@ -166,11 +155,11 @@ func Decode(data []byte) (Message, int, error) {
 	default:
 		return nil, 0, fmt.Errorf("wire: unknown message tag 0x%02x", tag)
 	}
-	if err := m.decodeBody(r); err != nil {
+	rest, err := m.decodeBody(data[1:])
+	if err != nil {
 		return nil, 0, fmt.Errorf("wire: decode tag 0x%02x: %w", tag, err)
 	}
-	consumed := len(data) - r.Len()
-	return m, consumed, nil
+	return m, len(data) - len(rest), nil
 }
 
 // EncodedSize returns the exact wire size of the message in bytes.
@@ -183,191 +172,215 @@ func EncodedSize(m Message) (int, error) {
 }
 
 // --- body codecs -----------------------------------------------------------
+//
+// Bodies are appended to and parsed from byte slices directly. The
+// readers fail exactly as their io.Reader counterparts would: io.EOF
+// when the body ends before a field starts, io.ErrUnexpectedEOF when
+// it ends inside one, and an overflow error for a varint longer than
+// 64 bits.
 
-func putUvarint(w *bytes.Buffer, v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	w.Write(tmp[:n])
-}
+// errVarintOverflow is binary.ReadUvarint's overflow error.
+var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
 
-func putFloat(w *bytes.Buffer, f float64) {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(f))
-	w.Write(tmp[:])
-}
-
-func readUvarint(r *bytes.Reader) (uint64, error) {
-	return binary.ReadUvarint(r)
-}
-
-func readFloat(r *bytes.Reader) (float64, error) {
-	var tmp [8]byte
-	if _, err := io.ReadFull(r, tmp[:]); err != nil {
-		return 0, err
+// truncated is the error for a field of which b holds only a prefix.
+func truncated(b []byte) error {
+	if len(b) == 0 {
+		return io.EOF
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(tmp[:])), nil
+	return io.ErrUnexpectedEOF
 }
 
-func encodeSamples(w *bytes.Buffer, samples []sampling.Sample) {
-	putUvarint(w, uint64(len(samples)))
+func readUvarint(b []byte) (uint64, []byte, error) {
+	v, n := binary.Uvarint(b)
+	switch {
+	case n > 0:
+		return v, b[n:], nil
+	case n < 0 || len(b) >= binary.MaxVarintLen64:
+		return 0, nil, errVarintOverflow
+	default:
+		return 0, nil, truncated(b)
+	}
+}
+
+func readFloat(b []byte) (float64, []byte, error) {
+	if len(b) < 8 {
+		return 0, nil, truncated(b)
+	}
+	return math.Float64frombits(binary.LittleEndian.Uint64(b)), b[8:], nil
+}
+
+func appendFloat(b []byte, f float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+}
+
+func appendSamples(b []byte, samples []sampling.Sample) []byte {
+	b = binary.AppendUvarint(b, uint64(len(samples)))
 	// Ranks are strictly increasing; delta-encode them so long reports
 	// stay compact.
 	prev := uint64(0)
 	for _, s := range samples {
-		putFloat(w, s.Value)
+		b = appendFloat(b, s.Value)
 		rank := uint64(s.Rank)
-		putUvarint(w, rank-prev)
+		b = binary.AppendUvarint(b, rank-prev)
 		prev = rank
 	}
+	return b
 }
 
-func decodeSamples(r *bytes.Reader) ([]sampling.Sample, error) {
-	count, err := readUvarint(r)
+// minSampleBytes is the smallest encoding of one sample: the float and
+// a one-byte rank delta.
+const minSampleBytes = 8 + 1
+
+func decodeSamples(b []byte) ([]sampling.Sample, []byte, error) {
+	count, b, err := readUvarint(b)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if count > maxSamplesPerMessage {
-		return nil, fmt.Errorf("sample count %d exceeds limit", count)
+		return nil, nil, fmt.Errorf("sample count %d exceeds limit", count)
 	}
 	if count == 0 {
-		return nil, nil
+		return nil, b, nil
 	}
-	samples := make([]sampling.Sample, 0, count)
+	// A count the remaining bytes cannot hold fails below, at the first
+	// missing field; size the slice by what the bytes can hold so a
+	// hostile count allocates nothing it could not fill.
+	samples := make([]sampling.Sample, 0, min(count, uint64(len(b)/minSampleBytes)))
 	prev := uint64(0)
 	for i := uint64(0); i < count; i++ {
-		v, err := readFloat(r)
-		if err != nil {
-			return nil, err
+		var v float64
+		if v, b, err = readFloat(b); err != nil {
+			return nil, nil, err
 		}
-		delta, err := readUvarint(r)
-		if err != nil {
-			return nil, err
+		var delta uint64
+		if delta, b, err = readUvarint(b); err != nil {
+			return nil, nil, err
 		}
 		if delta == 0 {
-			return nil, fmt.Errorf("sample %d: zero rank delta (ranks must increase)", i)
+			return nil, nil, fmt.Errorf("sample %d: zero rank delta (ranks must increase)", i)
 		}
 		prev += delta
 		if prev > math.MaxInt32 {
-			return nil, fmt.Errorf("sample %d: rank %d implausibly large", i, prev)
+			return nil, nil, fmt.Errorf("sample %d: rank %d implausibly large", i, prev)
 		}
 		samples = append(samples, sampling.Sample{Value: v, Rank: int(prev)})
 	}
-	return samples, nil
+	return samples, b, nil
 }
 
-func (m *SampleReport) encodeBody(w *bytes.Buffer) {
-	putUvarint(w, uint64(m.NodeID))
-	putUvarint(w, uint64(m.N))
+func (m *SampleReport) appendBody(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(m.NodeID))
+	b = binary.AppendUvarint(b, uint64(m.N))
+	flag := byte(0)
 	if m.Replace {
-		w.WriteByte(1)
-	} else {
-		w.WriteByte(0)
+		flag = 1
 	}
-	encodeSamples(w, m.Samples)
+	return appendSamples(append(b, flag), m.Samples)
 }
 
-func (m *SampleReport) decodeBody(r *bytes.Reader) error {
-	id, err := readUvarint(r)
+func (m *SampleReport) decodeBody(b []byte) ([]byte, error) {
+	id, b, err := readUvarint(b)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	n, err := readUvarint(r)
+	n, b, err := readUvarint(b)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	flag, err := r.ReadByte()
-	if err != nil {
-		return err
+	if len(b) == 0 {
+		return nil, io.EOF
 	}
+	flag := b[0]
 	if flag > 1 {
-		return fmt.Errorf("invalid replace flag 0x%02x", flag)
+		return nil, fmt.Errorf("invalid replace flag 0x%02x", flag)
 	}
-	samples, err := decodeSamples(r)
+	samples, b, err := decodeSamples(b[1:])
 	if err != nil {
-		return err
+		return nil, err
 	}
 	m.NodeID, m.N, m.Replace, m.Samples = int(id), int(n), flag == 1, samples
-	return nil
+	return b, nil
 }
 
-func (m *Heartbeat) encodeBody(w *bytes.Buffer) {
-	putUvarint(w, uint64(m.NodeID))
-	putUvarint(w, uint64(m.N))
-	encodeSamples(w, m.Piggyback)
+func (m *Heartbeat) appendBody(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(m.NodeID))
+	b = binary.AppendUvarint(b, uint64(m.N))
+	return appendSamples(b, m.Piggyback)
 }
 
-func (m *Heartbeat) decodeBody(r *bytes.Reader) error {
-	id, err := readUvarint(r)
+func (m *Heartbeat) decodeBody(b []byte) ([]byte, error) {
+	id, b, err := readUvarint(b)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	n, err := readUvarint(r)
+	n, b, err := readUvarint(b)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	samples, err := decodeSamples(r)
+	samples, b, err := decodeSamples(b)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	m.NodeID, m.N, m.Piggyback = int(id), int(n), samples
-	return nil
+	return b, nil
 }
 
-func (m *Resample) encodeBody(w *bytes.Buffer) {
-	putUvarint(w, uint64(m.NodeID))
-	putFloat(w, m.Rate)
+func (m *Resample) appendBody(b []byte) []byte {
+	return appendFloat(binary.AppendUvarint(b, uint64(m.NodeID)), m.Rate)
 }
 
-func (m *Resample) decodeBody(r *bytes.Reader) error {
-	id, err := readUvarint(r)
+func (m *Resample) decodeBody(b []byte) ([]byte, error) {
+	id, b, err := readUvarint(b)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	rate, err := readFloat(r)
+	rate, b, err := readFloat(b)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if rate < 0 || rate > 1 || math.IsNaN(rate) {
-		return fmt.Errorf("resample rate %v outside [0, 1]", rate)
+		return nil, fmt.Errorf("resample rate %v outside [0, 1]", rate)
 	}
 	m.NodeID, m.Rate = int(id), rate
-	return nil
+	return b, nil
 }
 
-func (m *Ack) encodeBody(w *bytes.Buffer) {
-	putUvarint(w, uint64(m.NodeID))
+func (m *Ack) appendBody(b []byte) []byte {
+	return binary.AppendUvarint(b, uint64(m.NodeID))
 }
 
-func (m *Ack) decodeBody(r *bytes.Reader) error {
-	id, err := readUvarint(r)
+func (m *Ack) decodeBody(b []byte) ([]byte, error) {
+	id, b, err := readUvarint(b)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	m.NodeID = int(id)
-	return nil
+	return b, nil
 }
 
-func (m *TraceContext) encodeBody(w *bytes.Buffer) {
-	var tmp [17]byte
-	binary.LittleEndian.PutUint64(tmp[0:8], m.TraceID)
-	binary.LittleEndian.PutUint64(tmp[8:16], m.SpanID)
+// traceContextBytes is TraceContext's fixed body width.
+const traceContextBytes = 8 + 8 + 1
+
+func (m *TraceContext) appendBody(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint64(b, m.TraceID)
+	b = binary.LittleEndian.AppendUint64(b, m.SpanID)
+	flags := byte(0)
 	if m.Sampled {
-		tmp[16] = 1
+		flags = 1
 	}
-	w.Write(tmp[:])
+	return append(b, flags)
 }
 
-func (m *TraceContext) decodeBody(r *bytes.Reader) error {
-	var tmp [17]byte
-	if _, err := io.ReadFull(r, tmp[:]); err != nil {
-		return err
+func (m *TraceContext) decodeBody(b []byte) ([]byte, error) {
+	if len(b) < traceContextBytes {
+		return nil, truncated(b)
 	}
 	// Unknown flag bits are tolerated (forward compatibility); only bit
 	// 0 is defined today.
-	m.TraceID = binary.LittleEndian.Uint64(tmp[0:8])
-	m.SpanID = binary.LittleEndian.Uint64(tmp[8:16])
-	m.Sampled = tmp[16]&1 == 1
-	return nil
+	m.TraceID = binary.LittleEndian.Uint64(b[0:8])
+	m.SpanID = binary.LittleEndian.Uint64(b[8:16])
+	m.Sampled = b[16]&1 == 1
+	return b[traceContextBytes:], nil
 }
 
 // Interface compliance.

@@ -2,9 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -110,6 +112,24 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 				t.Error("want decode error")
 			}
 		})
+	}
+}
+
+// TestDecodeHostileCountAllocatesLittle sends a report that claims the
+// largest sample count the codec accepts, 2^24, with no samples after
+// it. Decode must fail without first reserving room for them (16 B per
+// sample, 256 MiB in all).
+func TestDecodeHostileCountAllocatesLittle(t *testing.T) {
+	data := []byte{TagSampleReport, 0x01, 0x01, 0x00, 0x80, 0x80, 0x80, 0x08}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := Decode(data)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a count with no samples after it should fail")
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20 {
+		t.Errorf("decoding a hostile count allocated %d bytes", grown)
 	}
 }
 
@@ -341,5 +361,72 @@ func TestPooledCodecConcurrentRoundTrips(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestGoldenBytes pins the wire format byte for byte: a replace report,
+// a top-up report and a heartbeat with piggybacked samples must encode
+// to exactly these bytes and decode back from them. Any codec rewrite
+// has to keep every byte.
+func TestGoldenBytes(t *testing.T) {
+	t.Parallel()
+	cases := []struct {
+		name string
+		m    Message
+		hex  string
+	}{
+		{
+			name: "replace report",
+			m: &SampleReport{NodeID: 5, N: 300, Replace: true, Samples: []sampling.Sample{
+				{Value: 12.5, Rank: 1}, {Value: 40, Rank: 130}, {Value: 40, Rank: 131}, {Value: -3.25e7, Rank: 300},
+			}},
+			hex: "01" + "05" + "ac02" + "01" + "04" + // tag, node 5, n 300, replace, 4 samples
+				"0000000000002940" + "01" + // 12.5, rank 1
+				"0000000000004440" + "8101" + // 40, delta 129
+				"0000000000004440" + "01" + // 40, delta 1
+				"0000000092fe7ec1" + "a901", // -3.25e7, delta 169
+		},
+		{
+			name: "top-up report",
+			m: &SampleReport{NodeID: 5, N: 300, Samples: []sampling.Sample{
+				{Value: 7, Rank: 2}, {Value: 99.125, Rank: 299},
+			}},
+			hex: "01" + "05" + "ac02" + "00" + "02" +
+				"0000000000001c40" + "02" + // 7, rank 2
+				"0000000000c85840" + "a902", // 99.125, delta 297
+		},
+		{
+			name: "heartbeat with piggyback",
+			m: &Heartbeat{NodeID: 200, N: 70000, Piggyback: []sampling.Sample{
+				{Value: 0.1, Rank: 17}, {Value: 1e300, Rank: 69999},
+			}},
+			hex: "02" + "c801" + "f0a204" + "02" + // tag, node 200, n 70000, 2 samples
+				"9a9999999999b93f" + "11" + // 0.1, rank 17
+				"9c7500883ce4377e" + "dea204", // 1e300, delta 69982
+		},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			want, err := hex.DecodeString(tc.hex)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Encode(tc.m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("Encode = %x\n          want %x", got, want)
+			}
+			back, consumed, err := Decode(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if consumed != len(want) || !reflect.DeepEqual(back, tc.m) {
+				t.Fatalf("Decode = %#v (consumed %d of %d), want %#v", back, consumed, len(want), tc.m)
+			}
+		})
 	}
 }
