@@ -91,7 +91,13 @@ func AblationOptimizer(c Config) (*Result, error) {
 		XLabel: "alpha_prime",
 		Series: []string{"epsilon", "epsilon_prime", "delta_prime"},
 	}
-	for _, ap := range ps(0.005, 0.0995, 30) {
+	// The grid spans the feasible interval (α′_min, α) geometrically and
+	// stops short of both ends, where ε′ diverges: the optimum sits a few
+	// multiples of α′_min in, closer than a linear grid resolves.
+	lo, hi := prob.MinAlphaPrime(), prob.Accuracy.Alpha
+	const points = 30
+	for i := 1; i <= points; i++ {
+		ap := lo * math.Pow(hi/lo, float64(i)/(points+1))
 		plan, err := prob.EpsilonForAlphaPrime(ap)
 		if err != nil {
 			continue // infeasible grid point: skip, the landscape has a feasible core

@@ -143,7 +143,8 @@ func TestFig4Shape(t *testing.T) {
 			break
 		}
 	}
-	// And the expected sample count stays flat (it is √(8k)·2/(α√(1−δ))).
+	// And the paper's expected sample count stays flat (it is
+	// √(8k)·2/(α√(1−δ))).
 	samples, err := res.Column("expected_samples")
 	if err != nil {
 		t.Fatal(err)
@@ -151,6 +152,25 @@ func TestFig4Shape(t *testing.T) {
 	for i := 1; i < len(samples); i++ {
 		if math.Abs(samples[i]-samples[0]) > 1.5 {
 			t.Errorf("expected sample volume should be size-independent: %v", samples)
+			break
+		}
+	}
+	// The shipped volume, sized by the exact bound 2k(1−p)/p², is at most
+	// half the paper's and flattens as p → 0: it rises toward
+	// √(2k)/(α√(1−δ)), half the paper's volume, by ever smaller steps.
+	shipped, err := res.Column("shipped_samples")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range shipped {
+		if shipped[i] > samples[i]/2 {
+			t.Errorf("row %d: shipped volume %v exceeds half the paper's %v", i, shipped[i], samples[i])
+		}
+	}
+	for i := 2; i < len(shipped); i++ {
+		step, prev := shipped[i]-shipped[i-1], shipped[i-1]-shipped[i-2]
+		if !(step > 0 && step < prev) {
+			t.Errorf("shipped volume should rise by shrinking steps as p falls: %v", shipped)
 			break
 		}
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"strconv"
 
 	"privrange/internal/dataset"
@@ -86,7 +87,11 @@ func Fig3(c Config) (*Result, error) {
 // α = 0.055 and δ = 0.5 fixed, the Theorem 3.3 sampling rate is computed
 // as the dataset grows from 10% to 100% of the CityPulse size. Expected
 // shape: required p decays ~1/n — the bigger the data, the smaller the
-// fraction that must travel.
+// fraction that must travel. required_p and expected_samples reproduce
+// the paper's formula, sized by its variance bound 8k/p², whose volume is
+// exactly flat. shipped_p and shipped_samples are what the system
+// collects, sized by the exact bound 2k(1−p)/p² (estimator.GlobalVariance):
+// at most half the paper's volume, rising toward half of it as p → 0.
 func Fig4(c Config) (*Result, error) {
 	c = c.withDefaults()
 	if err := c.validate(); err != nil {
@@ -101,18 +106,22 @@ func Fig4(c Config) (*Result, error) {
 		Name:   "fig4",
 		Title:  "required sampling probability vs data size (alpha=0.055, delta=0.5)",
 		XLabel: "data_fraction",
-		Series: []string{"required_p", "expected_samples"},
+		Series: []string{"required_p", "expected_samples", "shipped_p", "shipped_samples"},
 	}
 	for frac := 0.1; frac <= 1.0001; frac += 0.1 {
 		sub, err := series.Truncate(frac)
 		if err != nil {
 			return nil, err
 		}
-		p, err := estimator.RequiredProbability(acc, c.K, sub.Len())
+		n := sub.Len()
+		// The paper's Theorem 3.3: p = √(2k)/(αn) · 2/√(1−δ).
+		paper := math.Sqrt(2*float64(c.K)) / (acc.Alpha * float64(n)) * 2 / math.Sqrt(1-acc.Delta)
+		shipped, err := estimator.RequiredProbability(acc, c.K, n)
 		if err != nil {
 			return nil, err
 		}
-		if err := res.Add(frac, p, estimator.ExpectedSamples(sub.Len(), p)); err != nil {
+		if err := res.Add(frac, paper, estimator.ExpectedSamples(n, paper),
+			shipped, estimator.ExpectedSamples(n, shipped)); err != nil {
 			return nil, err
 		}
 	}

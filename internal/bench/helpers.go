@@ -103,10 +103,11 @@ func newFixtureFromSeries(series *dataset.Series, k int) (*fixture, error) {
 	// Relative error against a near-empty range is dominated by the
 	// estimator's additive deviation and says nothing about accuracy.
 	// The 10% floor is the support level at which the paper's own numbers
-	// become mutually consistent: at p = 0.0173 the estimator deviates by
-	// ~√(8k)/p ≈ 520 records, which against a ≥1 757-record truth is the
-	// ~27% worst case Fig 2 reports, and the ε = 0.1 noise of Fig 5
-	// lands under its ~8% line the same way.
+	// become mutually consistent: at p = 0.0173 the estimator's worst
+	// deviation over the queries, about two standard deviations of
+	// √(2k(1−p))/p, is ~510 records, which against a ≥1 757-record
+	// truth is the ~27% worst case Fig 2 reports, and the ε = 0.1 noise
+	// of Fig 5 lands under its ~8% line the same way.
 	var queries []estimator.Query
 	var truths []float64
 	for _, q := range f.queries {

@@ -65,9 +65,12 @@ type Source interface {
 	Snapshot() (sets []*sampling.SampleSet, idx *index.Index, rate float64, nodes, n int, version uint64, coverage float64)
 }
 
-// ErrUnachievable reports that the requested accuracy cannot be met even
-// after sampling every record — no noise margin remains.
-var ErrUnachievable = errors.New("core: accuracy unachievable even at full sampling")
+// ErrUnachievable reports that the requested accuracy cannot be met at
+// the highest rate collection reached: the engine asked for every record,
+// but down or failing nodes kept the guaranteed rate below what the
+// accuracy needs. Wherever collection reaches p = 1 every accuracy is
+// feasible, since the sampling variance bound is then 0.
+var ErrUnachievable = errors.New("core: accuracy unachievable at the sampling rate collection reached")
 
 // DegradationPolicy selects how the engine reacts when a collection
 // round completes only partially (some nodes failed after exhausting

@@ -150,10 +150,18 @@ func TestAutoCollectDisabled(t *testing.T) {
 func TestUnachievableAccuracy(t *testing.T) {
 	t.Parallel()
 	// 64 nodes over only 1000 records: α=0.01 needs |error| ≤ 10 records,
-	// hopeless once noise is added.
+	// which takes a rate of ~0.93. Any accuracy is feasible at p = 1, so
+	// node 0 is collected at 0.05 and then goes down: its stale sample
+	// pins the guaranteed rate however high collection escalates.
 	nw, _ := buildNetwork(t, 64, 1000, 9)
 	eng, err := New(nw)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nw.EnsureRate(0.05); err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.SetDown(0, true); err != nil {
 		t.Fatal(err)
 	}
 	_, err = eng.Answer(estimator.Query{L: 0, U: 50}, estimator.Accuracy{Alpha: 0.01, Delta: 0.9})

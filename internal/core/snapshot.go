@@ -14,12 +14,11 @@ import (
 // the older state).
 type snapshot struct {
 	sets []*sampling.SampleSet
-	// idx is the columnar sample index built over sets at collection
-	// time, shared immutably through the snapshot. It is nil when the
-	// source holds no index built from exactly its current sample state
-	// (nothing collected yet, or the last build failed); estimation then
-	// falls back to the SampleSet path, which is slower but always
-	// correct — both paths are property-tested bit-identical.
+	// idx is the columnar sample index built over exactly sets, shared
+	// immutably through the snapshot. It is nil when the source serves
+	// none (for example when its build failed); estimation then falls
+	// back to the SampleSet path, which is slower but always correct —
+	// both paths are property-tested bit-identical.
 	idx  *index.Index
 	rate float64
 	// nodes is k and n is |D| at capture time.

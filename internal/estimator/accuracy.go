@@ -27,13 +27,30 @@ func (a Accuracy) Validate() error {
 	return nil
 }
 
-// RequiredProbability returns the sampling probability Theorem 3.3
-// prescribes so RankCounting meets (α, δ):
+// GlobalVariance returns RankCounting's variance bound over k nodes
+// sampled at rate p (THEORY §1):
 //
-//	p ≥ √(2k)/(αn) · 2/√(1−δ)
+//	V(p, k) = 2k(1−p)/p²
 //
-// The result is clamped to 1 (sampling everything always suffices). It
-// returns an error for invalid accuracy, k < 1 or n < 1.
+// Each node contributes two independent boundary errors, each a
+// conditional expectation of a Geometric(p) overshoot and so of variance
+// at most (1−p)/p². This is the one place the bound is written: every
+// sampling rate, confidence and plan in the system is sized by it. The
+// paper's Theorems 3.1–3.2 state the looser 8k/p². At p = 1 the sample is
+// the data and the bound is 0.
+func GlobalVariance(p float64, k int) float64 {
+	return 2 * float64(k) * (1 - p) / (p * p)
+}
+
+// RequiredProbability returns the smallest sampling probability at which
+// Chebyshev on GlobalVariance meets (α, δ) (Theorem 3.3 with the exact
+// bound): the positive root of V(p, k) = (1−δ)(αn)², that is of
+// (1−δ)(αn)²·p² + 2k·p − 2k = 0, written without cancellation as
+//
+//	p = 2k / (k + √(k² + 2k·(1−δ)(αn)²))
+//
+// It lies in (0, 1) for every valid input. It returns an error for
+// invalid accuracy, k < 1 or n < 1.
 func RequiredProbability(acc Accuracy, k, n int) (float64, error) {
 	if err := acc.Validate(); err != nil {
 		return 0, err
@@ -44,18 +61,16 @@ func RequiredProbability(acc Accuracy, k, n int) (float64, error) {
 	if n < 1 {
 		return 0, fmt.Errorf("estimator: dataset size %d < 1", n)
 	}
-	p := math.Sqrt(2*float64(k)) / (acc.Alpha * float64(n)) * 2 / math.Sqrt(1-acc.Delta)
-	if p > 1 {
-		p = 1
-	}
-	return p, nil
+	t := acc.Alpha * float64(n)
+	kf := float64(k)
+	return 2 * kf / (kf + math.Sqrt(kf*kf+2*kf*(1-acc.Delta)*t*t)), nil
 }
 
 // AchievableDelta inverts Theorem 3.3: for samples already collected at
 // probability p, it returns the largest confidence δ′ such that the
 // existing sample answers (α′, δ′)-range counting. From Chebyshev:
 //
-//	δ′ = 1 − (8k/p²)/(α′n)²
+//	δ′ = 1 − V(p, k)/(α′n)²
 //
 // The result can be negative when p is too small for the requested α′ at
 // all — callers must treat a non-positive δ′ as infeasible. It returns an
@@ -73,9 +88,8 @@ func AchievableDelta(p, alphaPrime float64, k, n int) (float64, error) {
 	if n < 1 {
 		return 0, fmt.Errorf("estimator: dataset size %d < 1", n)
 	}
-	varBound := 8 * float64(k) / (p * p)
 	t := alphaPrime * float64(n)
-	return 1 - varBound/(t*t), nil
+	return 1 - GlobalVariance(p, k)/(t*t), nil
 }
 
 // ExpectedSamples returns the expected communication volume |D|·p of a

@@ -8,9 +8,10 @@
 //     strict predecessor of l and strict successor of u at each node and
 //     converts their local ranks into an exact interior count, leaving
 //     only two truncated-geometric boundary overshoots, each with mean
-//     1/p. The estimate is unbiased with per-node variance ≤ 8/p²
-//     (Theorem 3.1) and global variance ≤ 8k/p² (Theorem 3.2),
-//     independent of the range width.
+//     1/p. The estimate is unbiased with per-node variance ≤ 2(1−p)/p²
+//     and global variance ≤ 2k(1−p)/p² (GlobalVariance, THEORY §1),
+//     independent of the range width. The paper's Theorems 3.1–3.2 state
+//     the looser 8/p² and 8k/p².
 //
 // Rank semantics follow internal/sampling: instance j of node i's sorted
 // dataset has rank j, so duplicates are distinct instances and both
@@ -158,13 +159,14 @@ func (r RankCounting) Estimate(sets []*sampling.SampleSet, q Query) (float64, er
 	})
 }
 
-// NodeVarianceBound returns the per-node bound 8/p² (Theorem 3.1).
+// NodeVarianceBound returns the per-node bound 2(1−p)/p², GlobalVariance
+// of one node.
 func (r RankCounting) NodeVarianceBound() float64 {
-	return 8 / (r.P * r.P)
+	return GlobalVariance(r.P, 1)
 }
 
-// VarianceBound returns the global bound 8k/p² for k nodes
-// (Theorem 3.2).
+// VarianceBound returns the global bound 2k(1−p)/p² for k nodes
+// (GlobalVariance).
 func (r RankCounting) VarianceBound(k int) float64 {
-	return 8 * float64(k) / (r.P * r.P)
+	return GlobalVariance(r.P, k)
 }

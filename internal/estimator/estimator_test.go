@@ -188,7 +188,7 @@ func TestRankCountingExactAtFullSampling(t *testing.T) {
 // TestRankCountingUnbiased is the statistical heart of Theorem 3.1/3.2:
 // over many independent sample draws, the mean estimate must converge to
 // the true count within a few standard errors, and the empirical variance
-// must respect the 8k/p² bound.
+// must respect the 2k(1−p)/p² bound.
 func TestRankCountingUnbiased(t *testing.T) {
 	t.Parallel()
 	series, err := dataset.GenerateSeries(dataset.Ozone, dataset.GenerateConfig{Seed: 21, Records: 4000})
@@ -239,8 +239,8 @@ func TestRankCountingUnbiased(t *testing.T) {
 	if se := errs.StdErr(); math.Abs(errs.Mean()) > 4*se {
 		t.Errorf("mean error %v exceeds 4 SE (%v): estimator looks biased", errs.Mean(), 4*se)
 	}
-	// Variance bound (Theorem 3.2): empirical variance ≤ 8k/p² with slack
-	// for sampling noise.
+	// Variance bound (GlobalVariance): empirical variance ≤ 2k(1−p)/p²
+	// with slack for sampling noise.
 	bound := rc.VarianceBound(k)
 	if errs.Variance() > bound*1.1 {
 		t.Errorf("empirical variance %v exceeds bound %v", errs.Variance(), bound)
@@ -466,28 +466,162 @@ func TestAccuracyValidate(t *testing.T) {
 
 func TestRequiredProbabilityFormula(t *testing.T) {
 	t.Parallel()
-	// p = √(2k)/(αn) · 2/√(1−δ) with k=8, n=10000, α=0.05, δ=0.5.
-	p, err := RequiredProbability(Accuracy{Alpha: 0.05, Delta: 0.5}, 8, 10000)
+	// p is the positive root of (1−δ)(αn)²·p² + 2k·p − 2k = 0 with k=8,
+	// n=10000, α=0.05, δ=0.5, where the variance bound meets the budget.
+	const k = 8
+	acc := Accuracy{Alpha: 0.05, Delta: 0.5}
+	p, err := RequiredProbability(acc, k, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := math.Sqrt(16) / (0.05 * 10000) * 2 / math.Sqrt(0.5)
+	a := (1 - acc.Delta) * (acc.Alpha * 10000) * (acc.Alpha * 10000)
+	want := (-2*k + math.Sqrt(4*k*k+8*k*a)) / (2 * a)
 	if math.Abs(p-want) > 1e-12 {
 		t.Errorf("p = %v, want %v", p, want)
 	}
-	// Tiny dataset: clamps at 1.
-	p, err = RequiredProbability(Accuracy{Alpha: 0.05, Delta: 0.5}, 8, 10)
+	if got, budget := GlobalVariance(p, k), (1-acc.Delta)*(acc.Alpha*10000)*(acc.Alpha*10000); math.Abs(got-budget) > 1e-9*budget {
+		t.Errorf("variance at the required rate = %v, want the Chebyshev budget %v", got, budget)
+	}
+	// Tiny dataset: the root stays below 1, since p = 1 has variance 0.
+	p, err = RequiredProbability(acc, k, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p != 1 {
-		t.Errorf("p = %v, want clamp at 1", p)
+	if !(p > 0 && p < 1) {
+		t.Errorf("p = %v, want inside (0, 1)", p)
 	}
-	if _, err := RequiredProbability(Accuracy{Alpha: 0.05, Delta: 0.5}, 0, 10); err == nil {
+	if _, err := RequiredProbability(acc, 0, 10); err == nil {
 		t.Error("k=0 should fail")
 	}
-	if _, err := RequiredProbability(Accuracy{Alpha: 0.05, Delta: 0.5}, 1, 0); err == nil {
+	if _, err := RequiredProbability(acc, 1, 0); err == nil {
 		t.Error("n=0 should fail")
+	}
+}
+
+// sideVariance returns the mean and variance of one boundary side's
+// error e_A (THEORY §1) by summing its exact distribution: e_A = G − 1/p
+// with probability p(1−p)^{G−1} for G = 1..A, and A with probability
+// (1−p)^A. step extends the sums from A−1 to A, so a sweep over A costs
+// one term per A.
+type sideVariance struct {
+	p, mean, second, tail float64 // tail = (1−p)^A
+	a                     int
+}
+
+func newSideVariance(p float64) *sideVariance { return &sideVariance{p: p, tail: 1} }
+
+func (s *sideVariance) step() {
+	s.a++
+	e := float64(s.a) - 1/s.p
+	w := s.p * s.tail // Pr[G = A]
+	s.mean += w * e
+	s.second += w * e * e
+	s.tail *= 1 - s.p
+}
+
+// moments returns E[e_A] and Var(e_A) at the current A.
+func (s *sideVariance) moments() (mean, variance float64) {
+	a := float64(s.a)
+	mean = s.mean + s.tail*a
+	return mean, s.second + s.tail*a*a - mean*mean
+}
+
+// TestSideVarianceBound is THEORY §1's bound as a property: over a grid of
+// p and every A up to 10⁴, one side's exact error variance never exceeds
+// Var(G) = (1−p)/p², equals (1−p)(1−(1−p)^A)/p², grows with A and reaches
+// the bound as A grows.
+func TestSideVarianceBound(t *testing.T) {
+	t.Parallel()
+	for i := 1; i <= 99; i++ {
+		p := float64(i) / 100
+		bound := (1 - p) / (p * p)
+		if got := GlobalVariance(p, 1) / 2; math.Abs(got-bound) > 1e-12*bound {
+			t.Fatalf("p=%v: GlobalVariance(p, 1)/2 = %v, want (1−p)/p² = %v", p, got, bound)
+		}
+		sv := newSideVariance(p)
+		prev := -1.0
+		for a := 0; a <= 10000; a++ {
+			if a > 0 {
+				sv.step()
+			}
+			mean, v := sv.moments()
+			if math.Abs(mean) > 1e-9*(1+1/p) {
+				t.Fatalf("p=%v A=%d: E[e_A] = %v, want 0 (unbiased)", p, a, mean)
+			}
+			if v > bound*(1+1e-9) {
+				t.Fatalf("p=%v A=%d: Var(e_A) = %v exceeds (1−p)/p² = %v", p, a, v, bound)
+			}
+			closed := (1 - p) * (1 - math.Pow(1-p, float64(a))) / (p * p)
+			if math.Abs(v-closed) > 1e-9*bound {
+				t.Fatalf("p=%v A=%d: Var(e_A) = %v, closed form %v", p, a, v, closed)
+			}
+			if v < prev-1e-9*bound {
+				t.Fatalf("p=%v A=%d: Var(e_A) = %v fell from %v", p, a, v, prev)
+			}
+			prev = v
+		}
+		if prev < bound*(1-1e-6) {
+			t.Errorf("p=%v: Var(e_A) at A=10⁴ is %v, not yet the bound %v", p, prev, bound)
+		}
+	}
+}
+
+// TestGlobalVarianceMonteCarlo measures RankCounting's global error
+// variance on fixed seeds. The query sits far from both ends of every
+// node's data, so each side's variance is within a part in 10³ of
+// (1−p)/p² and the whole estimate's variance is, to that precision, the
+// bound 2k(1−p)/p² itself: the empirical variance must match it within
+// four standard errors, which also shows the paper's 8k/p² is 4/(1−p)
+// times loose.
+func TestGlobalVarianceMonteCarlo(t *testing.T) {
+	t.Parallel()
+	const (
+		k      = 8
+		ni     = 400
+		trials = 4000
+	)
+	data := make([]float64, ni)
+	for i := range data {
+		data[i] = float64(i)
+	}
+	q := Query{L: 150, U: 249} // A = 150 and m = 150 on every node
+	truth := float64(k * 100)
+	for _, tc := range []struct {
+		p    float64
+		seed int64
+	}{{0.05, 101}, {0.2, 202}} {
+		rc := RankCounting{P: tc.p}
+		root := stats.NewRNG(tc.seed)
+		var errs stats.Running
+		sets := make([]*sampling.SampleSet, k)
+		for trial := 0; trial < trials; trial++ {
+			rng := root.Child(int64(trial))
+			for i := range sets {
+				set, err := sampling.Draw(data, tc.p, rng.Child(int64(i)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sets[i] = set
+			}
+			est, err := rc.Estimate(sets, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			errs.Add(est - truth)
+		}
+		bound := GlobalVariance(tc.p, k)
+		// The sample variance of a sum of 2k independent sides has
+		// relative standard error √((2 + κ)/trials), κ the sum's excess
+		// kurtosis: a Geometric(p) side has 6 + p²/(1−p), and the 2k
+		// equal sides divide it by 2k.
+		kappa := (6 + tc.p*tc.p/(1-tc.p)) / (2 * k)
+		se := bound * math.Sqrt((2+kappa)/trials)
+		if got := errs.Variance(); math.Abs(got-bound) > 4*se {
+			t.Errorf("p=%v: empirical variance %v, want 2k(1−p)/p² = %v ± %v", tc.p, got, bound, 4*se)
+		}
+		if se := errs.StdErr(); math.Abs(errs.Mean()) > 4*se {
+			t.Errorf("p=%v: mean error %v exceeds 4 SE (%v)", tc.p, errs.Mean(), 4*se)
+		}
 	}
 }
 

@@ -33,13 +33,13 @@ func Example() {
 		log.Fatal(err)
 	}
 	// Truth is 500; the estimate deviates by two truncated-geometric
-	// boundary gaps with standard deviation ≤ √8/p ≈ 14.
-	fmt.Println("within 5 sigma of 500:", est > 500-5*14.2 && est < 500+5*14.2)
+	// boundary gaps with standard deviation ≤ √(2(1−p))/p ≈ 6.3.
+	fmt.Println("within 5 sigma of 500:", est > 500-5*6.33 && est < 500+5*6.33)
 	bound := rc.NodeVarianceBound()
-	fmt.Println("variance bound ~200:", bound > 199.9 && bound < 200.1)
+	fmt.Println("variance bound ~40:", bound > 39.9 && bound < 40.1)
 	// Output:
 	// within 5 sigma of 500: true
-	// variance bound ~200: true
+	// variance bound ~40: true
 }
 
 // ExampleRequiredProbability computes the Theorem 3.3 sampling rate for
@@ -53,6 +53,6 @@ func ExampleRequiredProbability() {
 	fmt.Printf("rate: %.4f\n", p)
 	fmt.Printf("expected samples: %.0f of 17568\n", estimator.ExpectedSamples(17568, p))
 	// Output:
-	// rate: 0.0131
-	// expected samples: 230 of 17568
+	// rate: 0.0065
+	// expected samples: 115 of 17568
 }

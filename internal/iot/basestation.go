@@ -21,11 +21,13 @@ type BaseStation struct {
 	// e.g. a recovered node re-reporting a redrawn sample.
 	version uint64
 	// idx is the columnar index over sets, built by RebuildIndex at
-	// version idxVersion. It is immutable once built; any accepted
+	// version idxVersion (nil when that build failed); indexed records
+	// that a build ran at all. It is immutable once built; any accepted
 	// report makes it stale (idxVersion falls behind version) until the
 	// next rebuild, so a stale index is never served.
 	idx        *index.Index
 	idxVersion uint64
+	indexed    bool
 }
 
 // NewBaseStation returns an empty base station.
@@ -37,7 +39,10 @@ func NewBaseStation() *BaseStation {
 }
 
 // HandleReport folds one sample report into the per-node state: Replace
-// reports overwrite, incremental reports merge by rank.
+// reports overwrite, incremental reports merge by rank. It takes
+// ownership of rep.Samples: a replace report's slice becomes the stored
+// set, so the caller must not touch it afterwards (wire.Decode hands
+// every report a slice of its own).
 func (b *BaseStation) HandleReport(rep *wire.SampleReport) error {
 	if rep == nil {
 		return fmt.Errorf("iot: nil sample report")
@@ -45,9 +50,7 @@ func (b *BaseStation) HandleReport(rep *wire.SampleReport) error {
 	b.seen[rep.NodeID] = true
 	existing, ok := b.sets[rep.NodeID]
 	if rep.Replace || !ok {
-		cp := make([]sampling.Sample, len(rep.Samples))
-		copy(cp, rep.Samples)
-		set := &sampling.SampleSet{N: rep.N, Samples: cp}
+		set := &sampling.SampleSet{N: rep.N, Samples: rep.Samples}
 		if err := set.Validate(); err != nil {
 			return fmt.Errorf("iot: node %d replace report: %w", rep.NodeID, err)
 		}
@@ -77,24 +80,30 @@ func (b *BaseStation) Version() uint64 { return b.version }
 
 // RebuildIndex (re)builds the columnar sample index when it is stale —
 // i.e. when any report was accepted since the last build. The network
-// calls it once at the end of every collection/heartbeat round, so the
-// per-round build cost is paid once and every query amortizes it. A
-// build failure (only possible on sizes/ranks outside the index's int32
-// columns) leaves the index unset; queries then fall back to the
-// SampleSet path, trading speed for correctness, and the error is
-// returned for the caller to surface.
+// calls it on the first snapshot read after the sample state moved, so
+// a state that nobody reads through a snapshot (a sharded cluster's
+// members) is never indexed, and every query after the first amortizes
+// the build. A build failure (only possible on sizes/ranks outside the
+// index's int32 columns) leaves the index unset until the next report;
+// queries then fall back to the SampleSet path, trading speed for
+// correctness, and the error is returned for the caller to surface.
 func (b *BaseStation) RebuildIndex() error {
-	if b.idx != nil && b.idxVersion == b.version {
+	if !b.IndexStale() {
 		return nil
 	}
 	ix, err := index.Build(b.SampleSets())
+	b.idx, b.idxVersion, b.indexed = ix, b.version, true
 	if err != nil {
 		b.idx = nil
 		return fmt.Errorf("iot: rebuilding sample index: %w", err)
 	}
-	b.idx = ix
-	b.idxVersion = b.version
 	return nil
+}
+
+// IndexStale reports whether the sample state moved since the last index
+// build, or no build ran yet: RebuildIndex would build.
+func (b *BaseStation) IndexStale() bool {
+	return !b.indexed || b.idxVersion != b.version
 }
 
 // Index returns the columnar sample index and whether it is fresh —
@@ -103,7 +112,7 @@ func (b *BaseStation) RebuildIndex() error {
 // path: serving a stale index would answer queries against samples the
 // version says are gone.
 func (b *BaseStation) Index() (*index.Index, bool) {
-	if b.idx == nil || b.idxVersion != b.version {
+	if b.idx == nil || b.IndexStale() {
 		return nil, false
 	}
 	return b.idx, true

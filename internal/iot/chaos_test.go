@@ -3,6 +3,7 @@ package iot
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -417,6 +418,8 @@ func TestFaultProfileValidation(t *testing.T) {
 		{LossRate: 1.5},
 		{CorruptRate: -1},
 		{CorruptRate: 2},
+		{LossRate: math.NaN()},
+		{CorruptRate: math.NaN()},
 		{CrashWindows: []CrashWindow{{From: 5, Until: 5}}},
 		{CrashWindows: []CrashWindow{{From: 5, Until: 3}}},
 	}

@@ -40,10 +40,10 @@ type FaultProfile struct {
 
 // validate checks one profile's parameters.
 func (p FaultProfile) validate(id int) error {
-	if p.LossRate < 0 || p.LossRate > 1 {
+	if !(p.LossRate >= 0 && p.LossRate <= 1) {
 		return fmt.Errorf("iot: node %d fault loss rate %v outside [0, 1]", id, p.LossRate)
 	}
-	if p.CorruptRate < 0 || p.CorruptRate > 1 {
+	if !(p.CorruptRate >= 0 && p.CorruptRate <= 1) {
 		return fmt.Errorf("iot: node %d corrupt rate %v outside [0, 1]", id, p.CorruptRate)
 	}
 	for _, w := range p.CrashWindows {

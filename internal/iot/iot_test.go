@@ -2,10 +2,13 @@ package iot
 
 import (
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"privrange/internal/dataset"
 	"privrange/internal/estimator"
+	"privrange/internal/index"
 	"privrange/internal/sampling"
 	"privrange/internal/wire"
 )
@@ -373,6 +376,9 @@ func TestLossValidation(t *testing.T) {
 	}
 	if _, err := New([][]float64{{1}}, Config{LossRate: 1}); err == nil {
 		t.Error("loss rate 1 should fail")
+	}
+	if _, err := New([][]float64{{1}}, Config{LossRate: math.NaN()}); err == nil {
+		t.Error("NaN loss rate should fail")
 	}
 	if _, err := New([][]float64{{1}}, Config{MaxRetries: -1}); err == nil {
 		t.Error("negative retries should fail")
@@ -853,9 +859,10 @@ func TestStateVersionBumpsOnAcceptedReports(t *testing.T) {
 }
 
 // TestIndexInvalidatedByDirectBaseMutation pins the staleness guard:
-// sample state rewritten at the base station outside a collection round
-// must yield an index-less snapshot, not a stale index, until the next
-// round rebuilds it.
+// Snapshot never serves an index older than the samples. Sample state
+// rewritten at the base station outside a collection round makes the
+// next Snapshot build a new index, equal to index.Build over the
+// current sets.
 func TestIndexInvalidatedByDirectBaseMutation(t *testing.T) {
 	t.Parallel()
 	parts, _ := buildParts(t, 4, 2000, 13)
@@ -866,27 +873,110 @@ func TestIndexInvalidatedByDirectBaseMutation(t *testing.T) {
 	if _, err := nw.EnsureRate(0.3); err != nil {
 		t.Fatal(err)
 	}
-	if _, idx, _, _, _, _, _ := nw.Snapshot(); idx == nil {
-		t.Fatal("expected a fresh index after collection")
+	_, before, _, _, _, _, _ := nw.Snapshot()
+	if before == nil {
+		t.Fatal("expected an index after collection")
 	}
-	// Rewrite node 0's stored sample directly: the version moves, the
-	// index must drop out of snapshots until the next collection round.
+	// Rewrite node 0's stored sample directly, dropping its last sample:
+	// the version moves, so the old index is stale.
 	sets := nw.SampleSets()
-	rep := &wire.SampleReport{NodeID: 0, N: sets[0].N, Replace: true, Samples: sets[0].Samples}
+	rep := &wire.SampleReport{NodeID: 0, N: sets[0].N, Replace: true, Samples: sets[0].Samples[:len(sets[0].Samples)-1]}
 	nw.mu.Lock()
 	err = nw.base.HandleReport(rep)
 	nw.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, idx, _, _, _, _, _ := nw.Snapshot(); idx != nil {
-		t.Error("stale index served after direct base-station mutation")
+	sets, idx, _, _, _, _, _ := nw.Snapshot()
+	if idx == nil || idx == before {
+		t.Fatal("stale index served after direct base-station mutation")
 	}
-	// The next collection round rebuilds it.
-	if _, err := nw.EnsureRate(nw.Rate()); err != nil {
+	want, err := index.Build(sets)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, idx, _, _, _, _, _ := nw.Snapshot(); idx == nil {
-		t.Error("index not rebuilt by the next collection round")
+	if !reflect.DeepEqual(idx, want) {
+		t.Error("snapshot index differs from index.Build over the current sets")
 	}
+	if idx.Samples() != before.Samples()-1 {
+		t.Errorf("index holds %d samples, want %d", idx.Samples(), before.Samples()-1)
+	}
+	// Reads at an unchanged state reuse the index.
+	if _, again, _, _, _, _, _ := nw.Snapshot(); again != idx {
+		t.Error("second snapshot at the same state rebuilt the index")
+	}
+}
+
+// TestRoundsBuildNoIndexUntilRead pins the lazy build: collection and
+// heartbeat rounds leave the index unbuilt until a Snapshot reads it,
+// and reads through State (a sharded cluster's only read) never build.
+func TestRoundsBuildNoIndexUntilRead(t *testing.T) {
+	t.Parallel()
+	parts, _ := buildParts(t, 4, 2000, 17)
+	nw, err := New(parts, Config{Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nw.EnsureRate(0.2); err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.IngestRound([][]float64{{1}, {2}, {3}, {4}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nw.HeartbeatRound(); err != nil {
+		t.Fatal(err)
+	}
+	_ = nw.State()
+	if nw.Indexed() {
+		t.Fatal("rounds and State built an index nobody read")
+	}
+	if _, idx, _, _, _, _, _ := nw.Snapshot(); idx == nil || !nw.Indexed() {
+		t.Fatal("Snapshot served no index")
+	}
+}
+
+// TestConcurrentSnapshotsServeFreshIndexes races readers, which build
+// the index on first read, against each other and against ingest
+// rounds: every snapshot's index equals index.Build over that
+// snapshot's own sets.
+func TestConcurrentSnapshotsServeFreshIndexes(t *testing.T) {
+	t.Parallel()
+	parts, _ := buildParts(t, 4, 2000, 19)
+	nw, err := New(parts, Config{Seed: 19})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nw.EnsureRate(0.2); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for r := 0; r < 20; r++ {
+			if err := nw.IngestRound([][]float64{{float64(r)}, {1}, {2}, {3}}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 20; j++ {
+				sets, idx, _, _, _, _, _ := nw.Snapshot()
+				want, err := index.Build(sets)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(idx, want) {
+					t.Error("snapshot index differs from index.Build over its own sets")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -178,7 +178,7 @@ func New(parts [][]float64, cfg Config) (*Network, error) {
 	if cfg.FreeHeartbeatSamples == 0 {
 		cfg.FreeHeartbeatSamples = DefaultFreeHeartbeatSamples
 	}
-	if cfg.LossRate < 0 || cfg.LossRate >= 1 {
+	if !(cfg.LossRate >= 0 && cfg.LossRate < 1) {
 		return nil, fmt.Errorf("iot: loss rate %v outside [0, 1)", cfg.LossRate)
 	}
 	if cfg.MaxRetries < 0 {
@@ -462,12 +462,6 @@ func (nw *Network) collect(p float64) (*CollectionReport, error) {
 		nw.noteSuccessLocked(id)
 		rep.Refreshed = append(rep.Refreshed, id)
 	}
-	// Rebuild the columnar index once per round (still under the writer
-	// lock) so every subsequent query reads it for free. A failed build
-	// only means degraded speed, never a wrong answer — Snapshot then
-	// reports no index and the broker estimates over the SampleSets —
-	// so it must not fail the round or mask its partial-round error.
-	_ = nw.base.RebuildIndex()
 	rep.Achieved = nw.rate()
 	rep.Coverage = nw.coverageLocked()
 	rep.Version = nw.base.Version()
@@ -665,9 +659,6 @@ func (nw *Network) HeartbeatRound() (*HeartbeatReport, error) {
 		nw.noteSuccessLocked(id)
 		rep.Delivered = append(rep.Delivered, id)
 	}
-	// Heartbeat piggybacks can rewrite stored samples; refresh the
-	// columnar index before queries resume (best-effort, like collect).
-	_ = nw.base.RebuildIndex()
 	nw.metrics.noteHeartbeat(rep, nw.coverageLocked(), nw.downCountLocked())
 	return rep, rep.Err()
 }
@@ -683,19 +674,37 @@ func (nw *Network) SampleSets() []*sampling.SampleSet {
 
 // Snapshot returns one atomically consistent view of the queryable
 // state: the per-node sample sets, the columnar sample index built over
-// them (nil when no fresh index exists — e.g. before the first
-// collection, or once the sample state moved past the last build — in
-// which case the broker falls back to the SampleSet path), the
-// guaranteed sampling rate, node and record counts, the monotonic
-// sample-state version, and the reachable-record coverage. The broker
-// estimates against a snapshot lock-free — the sets and index are
-// immutable, the version lets answer caches detect sample-state
-// changes invisible to (n, rate) alone, and the coverage discloses how
-// much of the data a degraded deployment can still refresh
-// (provenance for best-effort answers).
+// them (nil only when that build failed, in which case the broker falls
+// back to the SampleSet path), the guaranteed sampling rate, node and
+// record counts, the monotonic sample-state version, and the
+// reachable-record coverage. The broker estimates against a snapshot
+// lock-free — the sets and index are immutable, the version lets answer
+// caches detect sample-state changes invisible to (n, rate) alone, and
+// the coverage discloses how much of the data a degraded deployment can
+// still refresh (provenance for best-effort answers).
+//
+// The index is built here, by the first Snapshot after the sample state
+// moved, so collection rounds whose state nobody reads this way build
+// none. Snapshot never serves an index older than the samples.
 func (nw *Network) Snapshot() (sets []*sampling.SampleSet, idx *index.Index, rate float64, nodes, n int, version uint64, coverage float64) {
 	nw.mu.RLock()
-	defer nw.mu.RUnlock()
+	if !nw.base.IndexStale() {
+		defer nw.mu.RUnlock()
+		return nw.snapshotLocked()
+	}
+	nw.mu.RUnlock()
+	nw.mu.Lock()
+	defer nw.mu.Unlock()
+	// RebuildIndex re-checks staleness under the writer lock: a reader
+	// that got here first has already built it. A failed build only
+	// means degraded speed, never a wrong answer: the snapshot then
+	// carries no index and the broker estimates over the SampleSets.
+	_ = nw.base.RebuildIndex()
+	return nw.snapshotLocked()
+}
+
+// snapshotLocked is Snapshot's read. Callers hold nw.mu (read or write).
+func (nw *Network) snapshotLocked() (sets []*sampling.SampleSet, idx *index.Index, rate float64, nodes, n int, version uint64, coverage float64) {
 	idx, _ = nw.base.Index()
 	return nw.base.SampleSets(), idx, nw.rate(), len(nw.nodes), nw.totalN(), nw.base.Version(), nw.coverageLocked()
 }

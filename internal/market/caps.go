@@ -26,15 +26,10 @@ func (b *Broker) customerPrivacyCap() float64 {
 }
 
 // PrivacySpentByCustomer returns one customer's cumulative Σε′ on one
-// dataset.
+// dataset: the running sum the ledger keeps in receipt order, equal bit
+// for bit to summing the customer's receipts.
 func (l *Ledger) PrivacySpentByCustomer(customer, dataset string) float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	total := 0.0
-	for _, r := range l.receipts {
-		if r.Customer == customer && r.Dataset == dataset {
-			total += r.EpsilonPrime
-		}
-	}
-	return total
+	return l.spent[spendKey{customer, dataset}]
 }

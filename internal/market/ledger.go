@@ -11,7 +11,14 @@ type Ledger struct {
 	mu       sync.Mutex
 	receipts []Receipt
 	nextID   int64
+	// spent is Σε′ per (customer, dataset), added up in receipt order as
+	// Record and restore store receipts, so it is bit-identical to a scan
+	// of receipts and a capped sale checks it in O(1).
+	spent map[spendKey]float64
 }
+
+// spendKey identifies one customer's spend on one dataset.
+type spendKey struct{ customer, dataset string }
 
 // Record assigns the receipt an id, stores it, and returns the completed
 // receipt.
@@ -20,8 +27,18 @@ func (l *Ledger) Record(r Receipt) Receipt {
 	defer l.mu.Unlock()
 	l.nextID++
 	r.ID = l.nextID
-	l.receipts = append(l.receipts, r)
+	l.appendLocked(r)
 	return r
+}
+
+// appendLocked stores one receipt and adds its ε′ to its customer's
+// running spend. Callers hold l.mu.
+func (l *Ledger) appendLocked(r Receipt) {
+	if l.spent == nil {
+		l.spent = make(map[spendKey]float64)
+	}
+	l.receipts = append(l.receipts, r)
+	l.spent[spendKey{r.Customer, r.Dataset}] += r.EpsilonPrime
 }
 
 // Revenue returns the broker's total take.

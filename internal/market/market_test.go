@@ -17,6 +17,14 @@ import (
 
 func buildEngine(t testing.TB, p dataset.Pollutant, k int, seed int64) (*core.Engine, *dataset.Series) {
 	t.Helper()
+	eng, _, series := buildEngineNetwork(t, p, k, seed)
+	return eng, series
+}
+
+// buildEngineNetwork is buildEngine that also returns the engine's
+// network, for tests that drive collection or node outages directly.
+func buildEngineNetwork(t testing.TB, p dataset.Pollutant, k int, seed int64) (*core.Engine, *iot.Network, *dataset.Series) {
+	t.Helper()
 	series, err := dataset.GenerateSeries(p, dataset.GenerateConfig{Seed: seed, Records: dataset.CityPulseRecords})
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +41,7 @@ func buildEngine(t testing.TB, p dataset.Pollutant, k int, seed int64) (*core.En
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng, series
+	return eng, nw, series
 }
 
 func buildBroker(t testing.TB, tariff pricing.Function) (*Broker, *dataset.Series) {

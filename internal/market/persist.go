@@ -60,8 +60,11 @@ func (l *Ledger) restore(receipts []Receipt, nextID int64) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.receipts = make([]Receipt, len(receipts))
-	copy(l.receipts, receipts)
+	l.receipts = make([]Receipt, 0, len(receipts))
+	l.spent = nil
+	for _, r := range receipts {
+		l.appendLocked(r)
+	}
 	l.nextID = nextID
 	return nil
 }

@@ -117,10 +117,26 @@ func TestPrepaidBrokerEnforcesBalance(t *testing.T) {
 
 func TestPrepaidBrokerRefundsOnAnswerFailure(t *testing.T) {
 	t.Parallel()
-	broker, _ := buildBroker(t, pricing.InverseVariance{C: 1e9})
+	broker, err := NewBroker(pricing.InverseVariance{C: 1e9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, nw, series := buildEngineNetwork(t, dataset.Ozone, 10, 42)
+	if err := broker.Register("ozone", eng, series.Len(), 10); err != nil {
+		t.Fatal(err)
+	}
 	var w Wallets
 	broker.AttachWallets(&w)
 	// An unachievable accuracy makes the engine fail *after* the debit.
+	// Every accuracy is feasible at p = 1, so node 0 is collected at 0.1
+	// and then goes down: its stale sample caps the guaranteed rate below
+	// the ~0.996 this accuracy needs.
+	if _, err := nw.EnsureRate(0.1); err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.SetDown(0, true); err != nil {
+		t.Fatal(err)
+	}
 	req := Request{Dataset: "ozone", Customer: "alice", L: 30, U: 90, Alpha: 0.0005, Delta: 0.999}
 	price, _, err := broker.Quote("ozone", req.Accuracy())
 	if err != nil {

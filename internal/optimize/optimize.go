@@ -108,12 +108,16 @@ func (p *Problem) grid() int {
 	return 2000
 }
 
-// minAlphaPrime returns the smallest α′ at which the existing samples
-// still deliver δ′ > δ: from δ′(α′) = 1 − 8k/(p²α′²n²) solved at δ′ = δ,
+// MinAlphaPrime returns the smallest α′ at which the existing samples
+// still deliver δ′ > δ: from δ′(α′) = 1 − V/(α′n)² solved at δ′ = δ, with
+// V = estimator.GlobalVariance(p, k),
 //
-//	α′_min = √(8k/(1−δ)) / (p·n).
-func (p *Problem) minAlphaPrime() float64 {
-	return math.Sqrt(8*float64(p.K)/(1-p.Accuracy.Delta)) / (p.P * float64(p.N))
+//	α′_min = √(V/(1−δ)) / n.
+//
+// The feasible interval of problem (3) is (α′_min, α). At p = 1 the
+// bound V is 0, so α′_min is 0.
+func (p *Problem) MinAlphaPrime() float64 {
+	return math.Sqrt(estimator.GlobalVariance(p.P, p.K)/(1-p.Accuracy.Delta)) / float64(p.N)
 }
 
 // EpsilonForAlphaPrime computes the minimal base budget for a fixed α′:
@@ -161,7 +165,7 @@ func (p *Problem) Solve() (Plan, error) {
 	if err := p.validate(); err != nil {
 		return Plan{}, err
 	}
-	lo := p.minAlphaPrime()
+	lo := p.MinAlphaPrime()
 	hi := p.Accuracy.Alpha
 	if lo >= hi {
 		// Even a pure-sampling answer misses δ: the paper's broker would
@@ -213,10 +217,12 @@ func (p *Problem) Verify(plan Plan, tol float64) error {
 	if plan.DeltaPrime < delta-tol {
 		return fmt.Errorf("optimize: plan delta' %v below delta=%v", plan.DeltaPrime, delta)
 	}
-	// Sampling constraint: p >= √(2k)/(α′n) · 2/√(1−δ′).
-	needP := math.Sqrt(2*float64(p.K)) / (plan.AlphaPrime * float64(p.N)) * 2 / math.Sqrt(1-plan.DeltaPrime)
-	if p.P < needP-tol {
-		return fmt.Errorf("optimize: sampling rate %v below required %v for (alpha', delta')", p.P, needP)
+	// Sampling constraint: Chebyshev on the variance bound supports δ′
+	// at α′, δ′ ≤ 1 − V(p)/(α′n)².
+	t := plan.AlphaPrime * float64(p.N)
+	if maxDelta := 1 - estimator.GlobalVariance(p.P, p.K)/(t*t); plan.DeltaPrime > maxDelta+tol {
+		return fmt.Errorf("optimize: plan delta' %v above %v, the most the sampling rate %v supports at alpha' %v",
+			plan.DeltaPrime, maxDelta, p.P, plan.AlphaPrime)
 	}
 	if plan.Epsilon <= 0 {
 		return fmt.Errorf("optimize: non-positive epsilon %v", plan.Epsilon)

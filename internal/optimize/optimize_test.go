@@ -51,7 +51,7 @@ func TestSolveIsGridOptimal(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No grid point can beat the returned plan.
-	lo := p.minAlphaPrime()
+	lo := p.MinAlphaPrime()
 	hi := p.Accuracy.Alpha
 	grid := p.grid()
 	for i := 1; i < grid; i++ {
@@ -351,7 +351,7 @@ func TestVerifyRejectsCorruptedPlans(t *testing.T) {
 		{
 			name: "alpha' too small for sampling rate",
 			mutate: func(p *Plan) {
-				p.AlphaPrime = prob.minAlphaPrime() / 4
+				p.AlphaPrime = prob.MinAlphaPrime() / 4
 				// Keep delta' as-is: the sampling constraint must trip.
 			},
 		},

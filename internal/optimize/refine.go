@@ -18,7 +18,7 @@ func (p *Problem) SolveRefined() (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
-	lo := p.minAlphaPrime()
+	lo := p.MinAlphaPrime()
 	hi := p.Accuracy.Alpha
 	grid := float64(p.grid())
 	step := (hi - lo) / grid

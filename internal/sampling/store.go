@@ -32,7 +32,8 @@ type NodeStore struct {
 	dirty bool // data changed since the last draw
 	gen   int  // incremented on every full (non-top-up) draw
 	// sample is the current sample, ascending by rank. SampleAt hands
-	// out copies, so draws may reuse its backing array.
+	// it out without copying, so it is never mutated: a full draw
+	// allocates a new slice and a top-up merges into one.
 	sample []Sample
 }
 
@@ -82,7 +83,8 @@ func (n *NodeStore) CountRange(l, u float64) (int, error) {
 // dataset at rate p. When the data is unchanged and p is at least the
 // previous rate, the previous sample is topped up (the instances already
 // shipped stay in the set); otherwise a fresh draw happens. The
-// returned set is a copy safe to retain.
+// returned set shares the store's current sample, which later draws
+// never mutate: it is safe to retain, and callers must not modify it.
 func (n *NodeStore) SampleAt(p float64) (*SampleSet, error) {
 	if !(p >= 0 && p <= 1) {
 		return nil, fmt.Errorf("sampling: probability %v outside [0, 1]", p)
@@ -94,13 +96,11 @@ func (n *NodeStore) SampleAt(p float64) (*SampleSet, error) {
 		n.topUp(p)
 	}
 	n.rate = p
-	samples := make([]Sample, len(n.sample))
-	copy(samples, n.sample)
-	return &SampleSet{N: n.tree.Len(), Samples: samples}, nil
+	return &SampleSet{N: n.tree.Len(), Samples: n.sample}, nil
 }
 
 func (n *NodeStore) fullDraw(p float64) {
-	n.sample = bernoulliRanks(n.sample[:0], n.tree.Len(), p, n.rng)
+	n.sample = bernoulliRanks(n.tree.Len(), p, n.rng)
 	n.tree.selectInto(n.sample)
 	n.dirty = false
 	n.gen++
@@ -117,7 +117,7 @@ func (n *NodeStore) Generation() int { return n.gen }
 // each pick back to its rank and merges it into the sample.
 func (n *NodeStore) topUp(p float64) {
 	q := (p - n.rate) / (1 - n.rate)
-	add := bernoulliRanks(nil, n.tree.Len()-len(n.sample), q, n.rng)
+	add := bernoulliRanks(n.tree.Len()-len(n.sample), q, n.rng)
 	// The u-th unsampled rank is u plus the number of sampled ranks
 	// below it; both sequences ascend, so one pass maps them all.
 	j := 0
@@ -135,17 +135,21 @@ func (n *NodeStore) topUp(p float64) {
 // before any draw).
 func (n *NodeStore) SampleCount() int { return len(n.sample) }
 
-// bernoulliRanks appends to dst one Sample, with only Rank set, for each
-// position of 1..n that independent Bernoulli(q) trials pick, in
-// ascending order. It steps over the gaps between picks instead of
-// visiting every position: the failures before each success of i.i.d.
+// bernoulliRanks returns, in a new slice, one Sample, with only Rank
+// set, for each position of 1..n that independent Bernoulli(q) trials
+// pick, in ascending order. It steps over the gaps between picks instead
+// of visiting every position: the failures before each success of i.i.d.
 // Bernoulli(q) trials are i.i.d. Geometric(q) (THEORY §6), so the picks
 // have exactly the law of one coin per position at O(picks) cost. q must
 // lie in [0, 1]; q = 0 picks nothing and q = 1 picks every position.
-func bernoulliRanks(dst []Sample, n int, q float64, rng *stats.RNG) []Sample {
+func bernoulliRanks(n int, q float64, rng *stats.RNG) []Sample {
 	if q <= 0 {
-		return dst
+		return nil
 	}
+	// Room for the expected picks plus four standard deviations, so the
+	// appends below rarely regrow the slice.
+	mean := float64(n) * q
+	dst := make([]Sample, 0, int(mean+4*math.Sqrt(mean*(1-q)))+1)
 	// A gap ⌊E·scale⌋ with E ~ Exp(1) and scale = −1/ln(1−q) is
 	// Geometric(q): Pr[⌊E·scale⌋ ≥ k] = e^{k·ln(1−q)} = (1−q)^k. The
 	// scale is 0 at q = 1, where every gap is 0.

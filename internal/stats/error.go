@@ -93,7 +93,8 @@ func ChebyshevTail(variance, t float64) float64 {
 
 // ChebyshevConfidence returns the Chebyshev lower bound on
 // Pr[|X − E X| ≤ t] ≥ 1 − Var(X)/t² (clamped at 0). This is the bound
-// Theorem 3.3 instantiates with t = αn and Var ≤ 8k/p².
+// Theorem 3.3 instantiates with t = αn and RankCounting's variance bound
+// (estimator.GlobalVariance).
 func ChebyshevConfidence(variance, t float64) float64 {
 	return 1 - ChebyshevTail(variance, t)
 }

@@ -9,8 +9,8 @@
 //     value with its local rank; the base station needs only ~√k/α
 //     samples instead of the whole dataset.
 //   - The RankCounting estimator reconstructs unbiased range counts from
-//     those rank-annotated samples with variance ≤ 8k/p², independent of
-//     the queried range's width.
+//     those rank-annotated samples with variance ≤ 2k(1−p)/p², independent
+//     of the queried range's width (the paper bounds it by 8k/p²).
 //   - For each customer request Λ(α, δ), an optimizer splits the error
 //     budget between sampling and Laplace noise so the released answer is
 //     (α, δ)-accurate with the smallest effective privacy budget

@@ -129,6 +129,15 @@ func TestSystemInfeasibleAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Any accuracy is feasible at p = 1, so the first answer collects at
+	// its own rate and node 0 then goes down: its stale sample caps the
+	// guaranteed rate below the ~0.93 that α = 0.01 needs.
+	if _, err := sys.Count(0, 100, Accuracy{Alpha: 0.1, Delta: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.SetNodeDown(0, true); err != nil {
+		t.Fatal(err)
+	}
 	_, err = sys.Count(0, 100, Accuracy{Alpha: 0.01, Delta: 0.9})
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
