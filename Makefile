@@ -73,9 +73,9 @@ cover:
 	$(GO) test -cover ./...
 
 # One testing.B target per paper figure + ablations; logs the series.
-# Also runs the hot-path micro-benchmarks (estimator worker pool, flat
-# columnar index, batch fan-out, wire codec) and records them in
-# results/bench-index.txt; the pre-index baselines live in
+# Also runs the hot-path micro-benchmarks (estimator loops, flat
+# columnar index batch kernel, engine batches, wire codec) and records
+# them in results/bench-index.txt; the pre-index baselines live in
 # results/bench-concurrency.txt. The telemetry-overhead comparison
 # (instrumented hot paths with and without a live registry) lands in
 # results/bench-telemetry.txt plus a machine-readable
@@ -139,14 +139,16 @@ examples:
 	$(GO) run ./examples/iotnetwork
 	$(GO) run ./examples/streaming
 
-# FuzzRecover executes fsync (every accepted log is compacted and
-# recovered a second time), so its minimization budget is capped: the
-# 60s default would spend the whole fuzz time shrinking one input.
+# FuzzRecover and FuzzHandle execute fsync (every accepted log is
+# compacted and recovered a second time; every buy and deposit is
+# journaled), so their minimization budget is capped: the 60s default
+# would spend the whole fuzz time shrinking one input.
 fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/wire/
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=30s ./internal/dataset/
 	$(GO) test -fuzz=FuzzParseSpanContext -fuzztime=30s ./internal/telemetry/
 	$(GO) test -fuzz=FuzzRecover -fuzztime=30s -fuzzminimizetime=5s ./internal/market/
+	$(GO) test -fuzz=FuzzHandle -fuzztime=30s -fuzzminimizetime=5s ./internal/market/
 
 # Fault-injection matrix (per-node loss × corruption × crash/recover
 # churn) plus the end-to-end degraded-deployment scenario, all under the

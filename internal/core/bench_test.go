@@ -10,8 +10,10 @@ import (
 // BenchmarkAnswerBatchParallel measures the broker's batch hot path
 // over a 64-node deployment answering 64 queries per batch: AnswerBatch
 // rides the serial release path, so the batch solves one shared plan,
-// estimates every query in one tiled pass across the worker pool, then
-// releases in order with one noise draw and one ε′ charge per query.
+// estimates every query in one node-order pass over the columnar index,
+// then releases in order with one noise draw and one ε′ charge per
+// query. The name predates the removal of the estimator's worker pool
+// and is kept so recorded results stay comparable.
 // Compare against BenchmarkAnswerBatchSequentialQueries (the same
 // releases answered one Answer call at a time, each solving its own
 // plan) for what batching saves.

@@ -44,14 +44,6 @@ type Source interface {
 	// attempted node failed (it wraps iot.ErrPartialRound); the report is
 	// valid either way and describes the partial progress made.
 	EnsureRate(p float64) (*iot.CollectionReport, error)
-	// SampleSets returns the per-node sample sets, ordered by node id.
-	SampleSets() []*sampling.SampleSet
-	// Rate returns the sampling rate currently guaranteed.
-	Rate() float64
-	// NumNodes returns k.
-	NumNodes() int
-	// TotalN returns |D|.
-	TotalN() int
 	// Snapshot returns one atomically consistent view of (sample sets,
 	// columnar index, rate, node count, record count, sample-state
 	// version, coverage). The returned sets and index must be immutable

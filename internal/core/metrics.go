@@ -31,6 +31,9 @@ type Metrics struct {
 	cacheHits   *telemetry.Counter
 	cacheMisses *telemetry.Counter
 
+	// batchesIndex counts batches estimated over the columnar index
+	// (path="index_tiled", a label value kept for existing scrapers) and
+	// batchesSequential those over the sample sets (path="sampleset").
 	batchesIndex      *telemetry.Counter
 	batchesSequential *telemetry.Counter
 	batchQueries      *telemetry.Counter

@@ -44,9 +44,9 @@ type BatchOutcome struct {
 // as core.answer with the per-query latency series; two or more as
 // core.answer_batch_serial with the batch series.
 //
-// Estimation for every non-cached query runs through the tiled
-// flat-index kernel in one call, so per-query cost collapses to a pair
-// of binary searches per node plus the (cheap) per-query release step.
+// Estimation for every non-cached query runs through the flat-index
+// batch kernel in one call, so per-query cost collapses to a pair of
+// binary searches per node plus the (cheap) per-query release step.
 func (e *Engine) AnswerBatchSerial(queries []estimator.Query, acc estimator.Accuracy, sc telemetry.SpanContext) ([]BatchOutcome, error) {
 	m := e.tele.Load()
 	var tr telemetry.Trace

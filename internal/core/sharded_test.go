@@ -13,7 +13,7 @@ import (
 
 // TestShardedBatchCountsIndexPath pins that a sharded deployment is an
 // ordinary Source: its composed snapshot carries a columnar index, so a
-// sharded batch runs — and is counted under — the tiled index kernel.
+// sharded batch runs — and is counted under — the flat-index kernel.
 func TestShardedBatchCountsIndexPath(t *testing.T) {
 	t.Parallel()
 	series, err := dataset.GenerateSeries(dataset.ParticulateMatter, dataset.GenerateConfig{Seed: 87, Records: 8000})

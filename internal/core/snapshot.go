@@ -48,21 +48,20 @@ func (e *Engine) readSnapshot() snapshot {
 }
 
 // rankEstimateBatch fills raws[i] with the un-noised RankCounting
-// estimate for queries[i]: the tiled flat-index batch kernel when the
-// snapshot carries an index, and the per-query SampleSet path
-// otherwise. Both return bit-identical values, so callers cannot
-// observe which one ran.
+// estimate for queries[i]: the flat-index batch kernel when the snapshot
+// carries an index, and the per-query SampleSet loop otherwise. Both
+// return bit-identical values, so callers cannot observe which one ran.
 func rankEstimateBatch(snap snapshot, queries []estimator.Query, raws []float64) error {
 	rc := estimator.RankCounting{P: snap.rate}
 	if snap.idx != nil {
 		return rc.EstimateIndexBatch(snap.idx, queries, raws)
 	}
-	return forEach(len(queries), func(i int) error {
-		raw, err := rc.Estimate(snap.sets, queries[i])
+	for i, q := range queries {
+		raw, err := rc.Estimate(snap.sets, q)
 		if err != nil {
 			return err
 		}
 		raws[i] = raw
-		return nil
-	})
+	}
+	return nil
 }

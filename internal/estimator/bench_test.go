@@ -70,8 +70,9 @@ func BenchmarkBasicCountingEstimate(b *testing.B) {
 // benchSink keeps the compiler from eliding the estimate loop.
 var benchSink float64
 
-// BenchmarkEstimateSequential is the single-threaded per-node loop over
-// a 256-node deployment — the baseline the parallel path must beat.
+// BenchmarkEstimateSequential is the per-node loop over a 256-node
+// deployment's sample sets, written out by hand: the floor Estimate's
+// own loop should track.
 func BenchmarkEstimateSequential(b *testing.B) {
 	sets := benchSets(b, 256, 1_048_576, 0.3)
 	rc := RankCounting{P: 0.3}
@@ -91,27 +92,6 @@ func BenchmarkEstimateSequential(b *testing.B) {
 	}
 }
 
-// BenchmarkEstimateParallel is the same 256-node estimate through
-// Estimate's auto-gated path. This shape carries too little search work
-// to amortize the pool (see TestParallelEngagement), so the work gate
-// keeps it sequential and it should track BenchmarkEstimateSequential
-// instead of losing to it — the recorded pre-gate regression. The
-// released value is bit-identical whether or not the pool engages.
-func BenchmarkEstimateParallel(b *testing.B) {
-	sets := benchSets(b, 256, 1_048_576, 0.3)
-	rc := RankCounting{P: 0.3}
-	q := Query{L: 40, U: 120}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		est, err := rc.Estimate(sets, q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink = est
-	}
-}
-
 // benchIndex builds the columnar index over the 256-node benchmark sets.
 func benchIndex(b *testing.B, sets []*sampling.SampleSet) *index.Index {
 	b.Helper()
@@ -123,27 +103,27 @@ func benchIndex(b *testing.B, sets []*sampling.SampleSet) *index.Index {
 }
 
 // BenchmarkEstimateFlatIndex is the k=256 acceptance benchmark: the same
-// estimate as BenchmarkEstimateSequential/Parallel, answered from the
-// columnar index. This must beat the SampleSet path on ns/op and run
-// with zero allocations per query.
+// estimate as BenchmarkEstimateSequential, answered from the columnar
+// index as a one-query EstimateIndexBatch. This must beat the SampleSet
+// path on ns/op and run with zero allocations per query.
 func BenchmarkEstimateFlatIndex(b *testing.B) {
 	sets := benchSets(b, 256, 1_048_576, 0.3)
 	ix := benchIndex(b, sets)
 	rc := RankCounting{P: 0.3}
-	q := Query{L: 40, U: 120}
+	qs := []Query{{L: 40, U: 120}}
+	out := make([]float64, 1)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		est, err := rc.EstimateIndex(ix, q)
-		if err != nil {
+		if err := rc.EstimateIndexBatch(ix, qs, out); err != nil {
 			b.Fatal(err)
 		}
-		benchSink = est
+		benchSink = out[0]
 	}
 }
 
-// BenchmarkEstimateIndexBatch measures the tiled batch kernel answering
-// 64 queries per call over the same 256-node index — the amortized
+// BenchmarkEstimateIndexBatch measures the batch kernel answering 64
+// queries per call over the same 256-node index — the amortized
 // per-query cost the broker's AnswerBatch pays.
 func BenchmarkEstimateIndexBatch(b *testing.B) {
 	sets := benchSets(b, 256, 1_048_576, 0.3)

@@ -82,17 +82,20 @@ func (b BasicCounting) estimateNode(set *sampling.SampleSet, q Query) (float64, 
 }
 
 // Estimate estimates the global count γ(l, u, D) as the sum of per-node
-// estimates. When there are enough nodes and enough total search work
-// to win, the per-node work fans out over a bounded worker pool (see
-// sumNodes / engageParallel); the result is bit-identical to the
-// sequential sum.
+// estimates, added in node order starting from 0.
 func (b BasicCounting) Estimate(sets []*sampling.SampleSet, q Query) (float64, error) {
 	if err := validateSets(sets, b.P, q); err != nil {
 		return 0, err
 	}
-	return sumNodes(len(sets), setsEstimateWork(sets), func(i int) (float64, error) {
-		return b.estimateNode(sets[i], q)
-	})
+	total := 0.0
+	for _, set := range sets {
+		est, err := b.estimateNode(set, q)
+		if err != nil {
+			return 0, err
+		}
+		total += est
+	}
+	return total, nil
 }
 
 // VarianceBound returns the estimator's variance γ(1−p)/p for a query
@@ -146,17 +149,21 @@ func (r RankCounting) estimateNode(set *sampling.SampleSet, q Query) (float64, e
 }
 
 // Estimate computes the global estimate γ̂(l, u, S) = Σ_i γ̂(l, u, i)
-// (Equation 2). When there are enough nodes and enough total search
-// work to win, the per-node work fans out over a bounded worker pool
-// (see sumNodes / engageParallel); the result is bit-identical to the
-// sequential sum.
+// (Equation 2), adding the per-node terms in node order starting from 0.
+// It is the oracle EstimateIndexBatch is tested against.
 func (r RankCounting) Estimate(sets []*sampling.SampleSet, q Query) (float64, error) {
 	if err := validateSets(sets, r.P, q); err != nil {
 		return 0, err
 	}
-	return sumNodes(len(sets), setsEstimateWork(sets), func(i int) (float64, error) {
-		return r.estimateNode(sets[i], q)
-	})
+	total := 0.0
+	for _, set := range sets {
+		est, err := r.estimateNode(set, q)
+		if err != nil {
+			return 0, err
+		}
+		total += est
+	}
+	return total, nil
 }
 
 // NodeVarianceBound returns the per-node bound 2(1−p)/p², GlobalVariance

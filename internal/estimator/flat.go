@@ -2,20 +2,17 @@ package estimator
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"privrange/internal/index"
 )
 
-// This file holds the flat-index hot path: the same estimator math as
+// This file holds the flat-index hot path: the same RankCounting math as
 // estimator.go, but evaluated over the columnar sample index
 // (internal/index) with hand-rolled binary searches and no per-query
 // allocation. The SampleSet path stays as the node-side representation
 // and the correctness oracle; the property tests in flat_test.go assert
 // both paths agree bit-for-bit, which is possible because the flat
-// kernels perform the exact same float operations in the exact same
+// kernel performs the exact same float operations in the exact same
 // order (per-node terms summed in node-index order starting from 0).
 
 // searchGE returns the smallest i with values[i] >= x (len(values) when
@@ -69,288 +66,36 @@ func rankNodeFlat(values []float64, ranks []int32, n int, q Query, p float64) fl
 	}
 }
 
-// basicNodeFlat is BasicCounting.estimateNode over one node's columns:
-// |{samples in [l,u]}| / p.
-func basicNodeFlat(values []float64, q Query, p float64) float64 {
-	lo := searchGE(values, q.L)
-	hi := searchGT(values, q.U)
-	return float64(hi-lo) / p
-}
-
-// validateIndex checks the shared preconditions of the flat estimators.
-func validateIndex(ix *index.Index, p float64, q Query) error {
-	if ix == nil {
-		return fmt.Errorf("estimator: nil sample index")
-	}
-	if err := q.Validate(); err != nil {
-		return err
-	}
-	if p <= 0 || p > 1 {
-		return fmt.Errorf("estimator: sampling probability %v outside (0, 1]", p)
-	}
-	return nil
-}
-
-// EstimateIndex computes the global RankCounting estimate over the
-// columnar index — the broker's hot path. It allocates nothing on the
-// sequential path and reuses pooled scratch on the parallel one; the
-// result is bit-identical to Estimate over the equivalent sample sets.
-func (r RankCounting) EstimateIndex(ix *index.Index, q Query) (float64, error) {
-	if err := validateIndex(ix, r.P, q); err != nil {
-		return 0, err
-	}
-	k := ix.Nodes()
-	if !engageParallel(k, flatEstimateWork(ix)) {
-		total := 0.0
-		for i := 0; i < k; i++ {
-			values, ranks, n := ix.Node(i)
-			total += rankNodeFlat(values, ranks, n, q, r.P)
-		}
-		return total, nil
-	}
-	return sumIndexParallel(ix, func(values []float64, ranks []int32, n int) float64 {
-		return rankNodeFlat(values, ranks, n, q, r.P)
-	})
-}
-
-// EstimateIndex computes the global BasicCounting estimate over the
-// columnar index. Bit-identical to Estimate over the equivalent sets.
-func (b BasicCounting) EstimateIndex(ix *index.Index, q Query) (float64, error) {
-	if err := validateIndex(ix, b.P, q); err != nil {
-		return 0, err
-	}
-	k := ix.Nodes()
-	if !engageParallel(k, flatEstimateWork(ix)) {
-		total := 0.0
-		for i := 0; i < k; i++ {
-			values, _, _ := ix.Node(i)
-			total += basicNodeFlat(values, q, b.P)
-		}
-		return total, nil
-	}
-	return sumIndexParallel(ix, func(values []float64, _ []int32, _ int) float64 {
-		return basicNodeFlat(values, q, b.P)
-	})
-}
-
-// sumIndexParallel fans per-node flat kernels over the worker pool with
-// pooled scratch, reducing in node-index order so the sum is
-// bit-identical to the sequential loop.
-func sumIndexParallel(ix *index.Index, node func(values []float64, ranks []int32, n int) float64) (float64, error) {
-	k := ix.Nodes()
-	sp := getScratch(k)
-	per := *sp
-	workers := runtime.GOMAXPROCS(0)
-	if workers > k {
-		workers = k
-	}
-	chunk := (k + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > k {
-			hi = k
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				values, ranks, n := ix.Node(i)
-				per[i] = node(values, ranks, n)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	total := 0.0
-	for _, est := range per {
-		total += est
-	}
-	putScratch(sp)
-	return total, nil
-}
-
-// --- batched, tiled evaluation ---------------------------------------------
-
-// Batch tiling parameters. The tile grid depends only on (k, m), never
-// on GOMAXPROCS, so which worker computes which tile cannot affect the
-// result: every per-node term lands in its own scratch cell and the
-// final reduction always adds them in node-index order.
-const (
-	// nodeTile × queryTile binary-search evaluations form one work unit
-	// (~a few µs) — coarse enough to amortize handoff, fine enough to
-	// balance across workers. nodeTile keeps a node-chunk's value
-	// columns hot in cache while the query chunk sweeps over them.
-	nodeTile  = 64
-	queryTile = 16
-	// maxScratchFloats caps the k×m scratch block at 16 MiB; larger
-	// batches are processed in deterministic query blocks.
-	maxScratchFloats = 1 << 21
-)
-
-// scratchPool recycles the per-batch scratch blocks (and the parallel
-// single-query per-node buffers) so steady-state batch evaluation
-// allocates nothing proportional to k×m.
-var scratchPool = sync.Pool{New: func() any { return new([]float64) }}
-
-func getScratch(n int) *[]float64 {
-	sp := scratchPool.Get().(*[]float64)
-	if cap(*sp) < n {
-		*sp = make([]float64, n)
-	}
-	*sp = (*sp)[:n]
-	return sp
-}
-
-func putScratch(sp *[]float64) { scratchPool.Put(sp) }
-
-// flatKernel selects which estimator a batch evaluates; a closed enum
-// keeps the tile inner loops free of indirect calls through closures.
-type flatKernel int
-
-const (
-	kernelRank flatKernel = iota
-	kernelBasic
-)
-
-// EstimateIndexBatch evaluates every query against the index and writes
-// the global estimates into out (len(out) must equal len(queries)).
-// Work is tiled (node-chunk × query-chunk) across the worker pool with
-// per-worker tiles writing disjoint cells of a pooled scratch block;
-// out[i] is bit-identical to EstimateIndex(ix, queries[i]) — and hence
-// to the SampleSet path — for any GOMAXPROCS and any scheduling.
+// EstimateIndexBatch evaluates every query against the columnar index
+// and writes the global RankCounting estimates into out (len(out) must
+// equal len(queries)) — the broker's one flat estimation entry point.
+// It walks the index once per batch, node by node, adding each query's
+// per-node term into out[i]; every out[i] starts at 0 and sums its terms
+// in node order, so it is bit-identical to Estimate(sets, queries[i])
+// over the sample sets the index was built from. It allocates nothing.
 func (r RankCounting) EstimateIndexBatch(ix *index.Index, queries []Query, out []float64) error {
-	return estimateIndexBatch(ix, queries, out, kernelRank, r.P)
-}
-
-// EstimateIndexBatch is the BasicCounting form of the batched flat
-// evaluation; see RankCounting.EstimateIndexBatch.
-func (b BasicCounting) EstimateIndexBatch(ix *index.Index, queries []Query, out []float64) error {
-	return estimateIndexBatch(ix, queries, out, kernelBasic, b.P)
-}
-
-func estimateIndexBatch(ix *index.Index, queries []Query, out []float64, kern flatKernel, p float64) error {
 	if ix == nil {
 		return fmt.Errorf("estimator: nil sample index")
 	}
 	if len(out) != len(queries) {
 		return fmt.Errorf("estimator: batch out length %d != %d queries", len(out), len(queries))
 	}
-	if p <= 0 || p > 1 {
-		return fmt.Errorf("estimator: sampling probability %v outside (0, 1]", p)
+	if r.P <= 0 || r.P > 1 {
+		return fmt.Errorf("estimator: sampling probability %v outside (0, 1]", r.P)
 	}
 	for i, q := range queries {
 		if err := q.Validate(); err != nil {
 			return fmt.Errorf("estimator: batch query %d: %w", i, err)
 		}
 	}
-	k := ix.Nodes()
-	if k == 0 {
-		for i := range out {
-			out[i] = 0
-		}
-		return nil
+	for i := range out {
+		out[i] = 0
 	}
-	// Query blocking bounds scratch memory; the block size depends only
-	// on k, so results stay deterministic.
-	block := len(queries)
-	if k*block > maxScratchFloats {
-		block = maxScratchFloats / k
-		if block < 1 {
-			block = 1
+	for node := 0; node < ix.Nodes(); node++ {
+		values, ranks, n := ix.Node(node)
+		for i, q := range queries {
+			out[i] += rankNodeFlat(values, ranks, n, q, r.P)
 		}
-	}
-	for q0 := 0; q0 < len(queries); q0 += block {
-		q1 := q0 + block
-		if q1 > len(queries) {
-			q1 = len(queries)
-		}
-		batchBlock(ix, queries[q0:q1], out[q0:q1], kern, p)
 	}
 	return nil
-}
-
-// batchBlock evaluates one query block: tiles fill scratch[node*m+q],
-// then a single pass reduces each query's per-node terms in node-index
-// order.
-func batchBlock(ix *index.Index, queries []Query, out []float64, kern flatKernel, p float64) {
-	k := ix.Nodes()
-	m := len(queries)
-	sp := getScratch(k * m)
-	scratch := *sp
-	tilesN := (k + nodeTile - 1) / nodeTile
-	tilesQ := (m + queryTile - 1) / queryTile
-	units := tilesN * tilesQ
-	workers := runtime.GOMAXPROCS(0)
-	if workers > units {
-		workers = units
-	}
-	// The pool only pays off when the block holds enough search work;
-	// below the threshold (or on one P) the tiles run inline.
-	if workers < 2 || !engageParallel(k, m*flatEstimateWork(ix)) {
-		for u := 0; u < units; u++ {
-			fillTile(ix, queries, scratch, u, tilesN, kern, p)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					u := int(next.Add(1)) - 1
-					if u >= units {
-						return
-					}
-					fillTile(ix, queries, scratch, u, tilesN, kern, p)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for qi := range queries {
-		total := 0.0
-		for node := 0; node < k; node++ {
-			total += scratch[node*m+qi]
-		}
-		out[qi] = total
-	}
-	putScratch(sp)
-}
-
-// fillTile evaluates one (node-chunk × query-chunk) tile into scratch.
-// Tiles touch disjoint cells, so concurrent fills need no locks.
-func fillTile(ix *index.Index, queries []Query, scratch []float64, unit, tilesN int, kern flatKernel, p float64) {
-	m := len(queries)
-	nt := unit % tilesN
-	qt := unit / tilesN
-	n0, n1 := nt*nodeTile, (nt+1)*nodeTile
-	if n1 > ix.Nodes() {
-		n1 = ix.Nodes()
-	}
-	q0, q1 := qt*queryTile, (qt+1)*queryTile
-	if q1 > m {
-		q1 = m
-	}
-	switch kern {
-	case kernelRank:
-		for node := n0; node < n1; node++ {
-			values, ranks, n := ix.Node(node)
-			row := scratch[node*m : node*m+m]
-			for qi := q0; qi < q1; qi++ {
-				row[qi] = rankNodeFlat(values, ranks, n, queries[qi], p)
-			}
-		}
-	case kernelBasic:
-		for node := n0; node < n1; node++ {
-			values, _, _ := ix.Node(node)
-			row := scratch[node*m : node*m+m]
-			for qi := q0; qi < q1; qi++ {
-				row[qi] = basicNodeFlat(values, queries[qi], p)
-			}
-		}
-	}
 }

@@ -1,8 +1,8 @@
 package estimator
 
 import (
+	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"testing"
 
@@ -59,30 +59,22 @@ func randomQueries(rng *stats.RNG, m int) []Query {
 
 // TestFlatEstimatorsBitIdentical is the differential property test the
 // acceptance criteria require: across random datasets, rates and query
-// ranges, the flat-index estimators must return bit-identical results
-// to the SampleSet-path estimators — the SampleSet path is the
-// correctness oracle, so any divergence, even in the last ulp, is a
-// flat-kernel bug.
+// ranges, the flat-index batch must return bit-identical results to the
+// SampleSet-path estimator — the SampleSet path is the correctness
+// oracle, so any divergence, even in the last ulp, is a flat-kernel bug.
+// The 60 random trials are followed by one larger fixed shape (150
+// nodes, 75 queries).
 func TestFlatEstimatorsBitIdentical(t *testing.T) {
 	t.Parallel()
-	rng := stats.NewRNG(1234)
-	for trial := 0; trial < 60; trial++ {
-		k := 1 + rng.Intn(40)
-		p := 0.05 + 0.95*rng.Float64()
-		sets := randomSets(t, rng, k, 300, p)
+	check := func(name string, sets []*sampling.SampleSet, p float64, queries []Query) {
+		t.Helper()
 		ix, err := index.Build(sets)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rc := RankCounting{P: p}
-		bc := BasicCounting{P: p}
-		queries := randomQueries(rng, 25)
-		rankFlat := make([]float64, len(queries))
-		basicFlat := make([]float64, len(queries))
-		if err := rc.EstimateIndexBatch(ix, queries, rankFlat); err != nil {
-			t.Fatal(err)
-		}
-		if err := bc.EstimateIndexBatch(ix, queries, basicFlat); err != nil {
+		flat := make([]float64, len(queries))
+		if err := rc.EstimateIndexBatch(ix, queries, flat); err != nil {
 			t.Fatal(err)
 		}
 		for qi, q := range queries {
@@ -90,104 +82,21 @@ func TestFlatEstimatorsBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			single, err := rc.EstimateIndex(ix, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Float64bits(single) != math.Float64bits(oracle) {
-				t.Fatalf("trial %d query %v: RankCounting flat %v != oracle %v",
-					trial, q, single, oracle)
-			}
-			if math.Float64bits(rankFlat[qi]) != math.Float64bits(oracle) {
-				t.Fatalf("trial %d query %v: RankCounting batch %v != oracle %v",
-					trial, q, rankFlat[qi], oracle)
-			}
-			boracle, err := bc.Estimate(sets, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bsingle, err := bc.EstimateIndex(ix, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Float64bits(bsingle) != math.Float64bits(boracle) {
-				t.Fatalf("trial %d query %v: BasicCounting flat %v != oracle %v",
-					trial, q, bsingle, boracle)
-			}
-			if math.Float64bits(basicFlat[qi]) != math.Float64bits(boracle) {
-				t.Fatalf("trial %d query %v: BasicCounting batch %v != oracle %v",
-					trial, q, basicFlat[qi], boracle)
+			if math.Float64bits(flat[qi]) != math.Float64bits(oracle) {
+				t.Fatalf("%s query %v: RankCounting batch %v != oracle %v", name, q, flat[qi], oracle)
 			}
 		}
 	}
-}
-
-// TestSumIndexParallelBitIdentical forces the pooled parallel reduction
-// (which the work gate would skip for test-sized inputs) and checks it
-// still matches the sequential flat sum bit-for-bit.
-func TestSumIndexParallelBitIdentical(t *testing.T) {
-	t.Parallel()
-	rng := stats.NewRNG(99)
-	sets := randomSets(t, rng, 67, 200, 0.5)
-	ix, err := index.Build(sets)
-	if err != nil {
-		t.Fatal(err)
+	rng := stats.NewRNG(1234)
+	for trial := 0; trial < 60; trial++ {
+		k := 1 + rng.Intn(40)
+		p := 0.05 + 0.95*rng.Float64()
+		sets := randomSets(t, rng, k, 300, p)
+		check(fmt.Sprintf("trial %d", trial), sets, p, randomQueries(rng, 25))
 	}
-	rc := RankCounting{P: 0.5}
-	for _, q := range randomQueries(rng, 10) {
-		seq := 0.0
-		for i := 0; i < ix.Nodes(); i++ {
-			values, ranks, n := ix.Node(i)
-			seq += rankNodeFlat(values, ranks, n, q, rc.P)
-		}
-		par, err := sumIndexParallel(ix, func(values []float64, ranks []int32, n int) float64 {
-			return rankNodeFlat(values, ranks, n, q, rc.P)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(par) != math.Float64bits(seq) {
-			t.Fatalf("query %v: parallel %v != sequential %v", q, par, seq)
-		}
-	}
-}
-
-// TestEstimateIndexBatchDeterministicAcrossGOMAXPROCS sweeps worker
-// counts over the tiled batch path (sized so the pool actually engages
-// at >= 2 procs) and requires bit-identical outputs: the tile grid and
-// the scratch reduction depend only on (k, m), never on scheduling.
-// Run under -race this also proves the disjoint-tile writes are clean.
-func TestEstimateIndexBatchDeterministicAcrossGOMAXPROCS(t *testing.T) {
-	rng := stats.NewRNG(4321)
-	sets := randomSets(t, rng, 150, 400, 0.6)
-	ix, err := index.Build(sets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := randomQueries(rng, 75)
-	rc := RankCounting{P: 0.6}
-	var baseline []float64
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	for _, procs := range []int{1, 2, 3, 4, 8} {
-		runtime.GOMAXPROCS(procs)
-		for rep := 0; rep < 3; rep++ {
-			out := make([]float64, len(queries))
-			if err := rc.EstimateIndexBatch(ix, queries, out); err != nil {
-				t.Fatal(err)
-			}
-			if baseline == nil {
-				baseline = out
-				continue
-			}
-			for i := range out {
-				if math.Float64bits(out[i]) != math.Float64bits(baseline[i]) {
-					t.Fatalf("procs=%d rep=%d query %d: %v != baseline %v",
-						procs, rep, i, out[i], baseline[i])
-				}
-			}
-		}
-	}
+	big := stats.NewRNG(4321)
+	sets := randomSets(t, big, 150, 400, 0.6)
+	check("k=150 m=75", sets, 0.6, randomQueries(big, 75))
 }
 
 // TestEstimateIndexBatchValidation covers the batch API's error paths.
@@ -213,9 +122,6 @@ func TestEstimateIndexBatchValidation(t *testing.T) {
 	if err := rc.EstimateIndexBatch(ix, []Query{{L: 2, U: 1}}, make([]float64, 1)); err == nil {
 		t.Error("inverted query should fail")
 	}
-	if _, err := rc.EstimateIndex(nil, qs[0]); err == nil {
-		t.Error("nil index should fail single-query path")
-	}
 	// An empty index answers zero for every query.
 	empty, err := index.Build(nil)
 	if err != nil {
@@ -227,43 +133,5 @@ func TestEstimateIndexBatchValidation(t *testing.T) {
 	}
 	if out[0] != 0 {
 		t.Errorf("empty index estimate = %v, want 0", out[0])
-	}
-}
-
-// TestParallelEngagement pins the fix for the recorded
-// parallel-slower-than-sequential regression: the bench-concurrency
-// baseline shape (k=256 nodes, ~1.2k samples each — where the pool
-// measurably lost to the sequential loop) must stay sequential, while
-// deployments with real search volume still fan out.
-func TestParallelEngagement(t *testing.T) {
-	t.Parallel()
-	// The exact shape of BenchmarkEstimateSequential/Parallel: 256 nodes,
-	// 1_048_576 records at p=0.3 => ~1229 samples per node.
-	regression := estimateWork(256, 256*1229)
-	if engageParallel(256, regression) {
-		t.Fatalf("k=256/%d-unit estimate must stay sequential (the recorded regression)", regression)
-	}
-	if regression >= parallelMinWork {
-		t.Fatalf("work score %d for the regression shape crossed the %d threshold", regression, parallelMinWork)
-	}
-	// Small deployments never fan out regardless of work.
-	if engageParallel(parallelMinSets-1, parallelMinWork*10) {
-		t.Error("below parallelMinSets the pool must never engage")
-	}
-	// A deployment with two orders of magnitude more search work crosses
-	// the threshold (the pool itself still requires >= 2 procs).
-	big := estimateWork(4096, 4096*1200)
-	if big < parallelMinWork {
-		t.Fatalf("work score %d for a 4096-node deployment should cross the %d threshold", big, parallelMinWork)
-	}
-	if runtime.GOMAXPROCS(0) >= 2 && !engageParallel(4096, big) {
-		t.Error("large deployments should still engage the pool")
-	}
-	// The score is monotone in both node count and sample volume.
-	if estimateWork(64, 64*100) >= estimateWork(64, 64*100000) {
-		t.Error("work score must grow with per-node sample size")
-	}
-	if estimateWork(64, 64*100) >= estimateWork(1024, 1024*100) {
-		t.Error("work score must grow with node count")
 	}
 }

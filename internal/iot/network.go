@@ -161,7 +161,7 @@ func (nw *Network) downCountLocked() int {
 }
 
 // New builds a network whose node i holds parts[i]. It returns an error
-// for an empty partition list or invalid config.
+// for an empty partition list, a NaN reading or invalid config.
 func New(parts [][]float64, cfg Config) (*Network, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("iot: need at least one node partition")
@@ -206,6 +206,9 @@ func New(parts [][]float64, cfg Config) (*Network, error) {
 	}
 	if cfg.NodeIDs != nil && len(cfg.NodeIDs) != len(parts) {
 		return nil, fmt.Errorf("iot: %d node ids for %d partitions", len(cfg.NodeIDs), len(parts))
+	}
+	if err := ValidateReadings(parts); err != nil {
+		return nil, err
 	}
 	nw := &Network{
 		cfg:      cfg,
@@ -586,9 +589,35 @@ func (nw *Network) coverageLocked() float64 {
 // rate — refreshes it, and queries in between still see a consistent
 // (pre-ingest) snapshot at the base station.
 func (nw *Network) Ingest(nodeID int, values []float64) error {
+	if hasNaN(values) {
+		return fmt.Errorf("iot: node %d: NaN reading", nodeID)
+	}
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
 	return nw.ingest(nodeID, values)
+}
+
+// ValidateReadings refuses a round holding a NaN reading. A NaN has no
+// place in a node's sorted data, yet a node store would count it in n_i
+// and give it a rank, skewing every estimate over that node. Callers
+// check a whole round before any node stores any of it, so a refused
+// round changes nothing.
+func ValidateReadings(perNode [][]float64) error {
+	for i, values := range perNode {
+		if hasNaN(values) {
+			return fmt.Errorf("iot: node batch %d holds a NaN reading", i)
+		}
+	}
+	return nil
+}
+
+func hasNaN(values []float64) bool {
+	for _, v := range values {
+		if math.IsNaN(v) {
+			return true
+		}
+	}
+	return false
 }
 
 func (nw *Network) ingest(nodeID int, values []float64) error {
@@ -607,7 +636,8 @@ func (nw *Network) ingest(nodeID int, values []float64) error {
 // IngestRound appends one round of readings across all nodes and
 // refreshes the base station's samples at the current rate — the
 // long-term continuous-collection loop the paper's related work targets.
-// perNode[i] goes to node i; len(perNode) must equal NumNodes. Like
+// perNode[i] goes to node i; len(perNode) must equal NumNodes, and a
+// round holding a NaN reading is refused before any node stores it. Like
 // EnsureRate, the refresh attempts every reachable node: a failed node
 // leaves its pre-round sample serving and the error wraps
 // ErrPartialRound while the rest of the deployment is still refreshed.
@@ -616,6 +646,9 @@ func (nw *Network) IngestRound(perNode [][]float64) error {
 	defer nw.mu.Unlock()
 	if len(perNode) != len(nw.nodes) {
 		return fmt.Errorf("iot: round has %d node batches, network has %d nodes", len(perNode), len(nw.nodes))
+	}
+	if err := ValidateReadings(perNode); err != nil {
+		return err
 	}
 	// perNode is positional: batch i goes to the i-th node regardless of
 	// its (possibly global) id.

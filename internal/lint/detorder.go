@@ -53,8 +53,7 @@ var detRoots = map[string][]string{
 		"rankEstimateBatch",
 	},
 	"privrange/internal/estimator": {
-		"BasicCounting.Estimate", "BasicCounting.EstimateIndex", "BasicCounting.EstimateIndexBatch",
-		"RankCounting.Estimate", "RankCounting.EstimateIndex", "RankCounting.EstimateIndexBatch",
+		"BasicCounting.Estimate", "RankCounting.Estimate", "RankCounting.EstimateIndexBatch",
 	},
 	"privrange/internal/shard": {
 		"Cluster.Snapshot", "Cluster.recomposeLocked", "Ring.Owner",

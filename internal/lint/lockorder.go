@@ -328,7 +328,8 @@ func (w *lockWalker) walkExpr(e ast.Expr) {
 	case *ast.FuncLit:
 		// A literal that is merely created (stored, passed) is still
 		// walked under the current held set: callbacks in this repo run
-		// synchronously under their caller (scatter, forEach).
+		// synchronously under their caller (shard.Cluster.scatter joins
+		// its workers before it returns).
 		w.walkStmt(e.Body)
 	case *ast.ParenExpr:
 		w.walkExpr(e.X)

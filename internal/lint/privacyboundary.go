@@ -13,10 +13,10 @@ import (
 //     index.Index — the raw rank-annotated per-node data the
 //     (α,δ)-guarantee says must never be released (the columnar index
 //     is the same data in flat form);
-//   - the un-noised estimates: (estimator.RankCounting).Estimate, its
-//     flat twin EstimateIndex, and (*core.Engine).EstimateOnly. All are
-//     broker-internal by contract (EstimateOnly's doc says "It never
-//     leaves the broker");
+//   - the un-noised estimates: (estimator.RankCounting).Estimate, the
+//     baseline (estimator.BasicCounting).Estimate, and
+//     (*core.Engine).EstimateOnly. All are broker-internal by contract
+//     (EstimateOnly's doc says "It never leaves the broker");
 //   - the out slice of (estimator.RankCounting).EstimateIndexBatch,
 //     which the call fills with un-noised estimates.
 //
@@ -159,7 +159,7 @@ func (t *taintState) tainted(e ast.Expr) bool {
 	case *ast.CallExpr:
 		fn := calleeFunc(t.pass.TypesInfo, e)
 		if isFuncNamed(fn, estimatorPkg, "RankCounting.Estimate") ||
-			isFuncNamed(fn, estimatorPkg, "RankCounting.EstimateIndex") ||
+			isFuncNamed(fn, estimatorPkg, "BasicCounting.Estimate") ||
 			isFuncNamed(fn, corePkg, "Engine.EstimateOnly") {
 			return true
 		}

@@ -17,8 +17,8 @@ import (
 //     sampling.Sample/SampleSet or index.Index (behind any pointers,
 //     slices, arrays or maps);
 //   - the un-noised estimates: (estimator.RankCounting).Estimate,
-//     EstimateIndex, (*core.Engine).EstimateOnly, and the out slice
-//     filled by EstimateIndexBatch;
+//     (estimator.BasicCounting).Estimate, (*core.Engine).EstimateOnly,
+//     and the out slice filled by RankCounting.EstimateIndexBatch;
 //   - scalars extracted from a direct container (a field, element or
 //     slice of one) and arithmetic over any tainted value.
 //
@@ -205,7 +205,7 @@ func (t *teleTaint) tainted(e ast.Expr) bool {
 	case *ast.CallExpr:
 		fn := calleeFunc(t.pass.TypesInfo, e)
 		if isFuncNamed(fn, estimatorPkg, "RankCounting.Estimate") ||
-			isFuncNamed(fn, estimatorPkg, "RankCounting.EstimateIndex") ||
+			isFuncNamed(fn, estimatorPkg, "BasicCounting.Estimate") ||
 			isFuncNamed(fn, corePkg, "Engine.EstimateOnly") {
 			return true
 		}

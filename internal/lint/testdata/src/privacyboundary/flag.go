@@ -23,10 +23,10 @@ func leakRank(set *sampling.SampleSet, resp *market.Response) {
 	resp.Value = float64(set.Samples[0].Rank) // want `flows into .*market\.Response\.Value`
 }
 
-// leakFlatEstimate releases the un-noised flat-index estimate — the
-// columnar hot path is held to the same boundary as the SampleSet path.
-func leakFlatEstimate(rc estimator.RankCounting, ix *index.Index, q estimator.Query) (*market.Response, error) {
-	raw, err := rc.EstimateIndex(ix, q)
+// leakBasicEstimate releases the baseline estimator's un-noised
+// |S ∩ [l,u]|/p — held to the same boundary as RankCounting.
+func leakBasicEstimate(bc estimator.BasicCounting, sets []*sampling.SampleSet, q estimator.Query) (*market.Response, error) {
+	raw, err := bc.Estimate(sets, q)
 	if err != nil {
 		return nil, err
 	}

@@ -26,12 +26,12 @@ func releasePlain(value, price float64) market.Response {
 }
 
 // releaseFlatPerturbed is the sanctioned flat-index path: the raw
-// estimate from the columnar hot path goes through the mechanism before
+// estimate the batch kernel wrote goes through the mechanism before
 // reaching the response, exactly like the SampleSet path.
 func releaseFlatPerturbed(rc estimator.RankCounting, ix *index.Index, q estimator.Query, m dp.Mechanism, rng *stats.RNG) (*market.Response, error) {
-	raw, err := rc.EstimateIndex(ix, q)
-	if err != nil {
+	raws := make([]float64, 1)
+	if err := rc.EstimateIndexBatch(ix, []estimator.Query{q}, raws); err != nil {
 		return nil, err
 	}
-	return &market.Response{OK: true, Value: m.Perturb(raw, rng)}, nil
+	return &market.Response{OK: true, Value: m.Perturb(raws[0], rng)}, nil
 }

@@ -37,10 +37,10 @@ func labelLiteralFromSample(set *sampling.SampleSet) telemetry.Label {
 	return telemetry.Label{Key: "rank", Value: string(rune(set.Samples[0].Rank))} // want `flows into telemetry\.Label`
 }
 
-// histogramFlatEstimate records the columnar-path estimate — held to
-// the same boundary as the SampleSet path.
-func histogramFlatEstimate(h *telemetry.Histogram, rc estimator.RankCounting, ix *index.Index, q estimator.Query) error {
-	raw, err := rc.EstimateIndex(ix, q)
+// histogramBasicEstimate records the baseline estimator's un-noised
+// |S ∩ [l,u]|/p — held to the same boundary as RankCounting.
+func histogramBasicEstimate(h *telemetry.Histogram, bc estimator.BasicCounting, sets []*sampling.SampleSet, q estimator.Query) error {
+	raw, err := bc.Estimate(sets, q)
 	if err != nil {
 		return err
 	}

@@ -306,6 +306,9 @@ func (b *Broker) Deposit(customer string, amount float64) error {
 	if err := checkDeposit(customer, amount); err != nil {
 		return err
 	}
+	if err := checkCredit(customer, w.Balance(customer), amount); err != nil {
+		return err
+	}
 	b.commitMu.RLock()
 	err := func() error {
 		if err := b.journal(WALRecord{Op: opDeposit, Customer: customer, Amount: amount}, telemetry.SpanContext{}); err != nil {

@@ -62,6 +62,50 @@ func FuzzRecover(f *testing.F) {
 	})
 }
 
+// FuzzHandle drives the request frame the way Server does: the input is
+// split on newlines, each line json.Unmarshal accepts as a Request is
+// handled in order by a durable prepaid broker with one dataset
+// (durBroker), and lines that fail to parse are skipped. Handling must
+// never panic and every response must be OK or carry an Error; the
+// books must then pass checkBooks, and a clean shutdown (compaction)
+// plus a second recovery must reproduce them bit for bit. Seeds, one
+// per op plus an unknown op and hostile deposits, live in
+// testdata/fuzz/FuzzHandle.
+func FuzzHandle(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		b := durBroker(t, dir, 0, nil)
+		for _, line := range bytes.Split(data, []byte("\n")) {
+			var req Request
+			if json.Unmarshal(line, &req) != nil {
+				continue
+			}
+			resp := b.Handle(req)
+			if resp == nil || resp.OK == (resp.Error != "") {
+				t.Fatalf("request %+v: response %+v is neither OK nor an error", req, resp)
+			}
+		}
+		books := stateOf(t, b)
+		checkBooks(t, books)
+		if err := b.CloseDurability(); err != nil {
+			t.Fatalf("clean shutdown: %v", err)
+		}
+		rb := durBroker(t, dir, 0, nil)
+		defer rb.CloseDurability()
+		want, err := json.Marshal(books)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(stateOf(t, rb))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("books changed across compaction and recovery:\n got  %s\n want %s", got, want)
+		}
+	})
+}
+
 // fuzzBroker is a prepaid broker with no datasets: recovered Σε′ stays
 // in the broker's restored state, where captures still see it.
 func fuzzBroker(t *testing.T) *Broker {

@@ -835,16 +835,30 @@ func TestDepositCreditAfterDurable(t *testing.T) {
 
 // TestDepositRejectsNonFinite: a NaN grant passes a plain `<= 0` check
 // but would journal a record replay refuses; it must be rejected before
-// anything is written.
+// anything is written. So must a finite grant that would overflow the
+// balance to +Inf: replay refuses such a log, and the broker could not
+// restart.
 func TestDepositRejectsNonFinite(t *testing.T) {
-	b := durBroker(t, t.TempDir(), 0, nil)
+	dir := t.TempDir()
+	b := durBroker(t, dir, 0, nil)
 	for _, amount := range []float64{math.NaN(), math.Inf(1)} {
 		if err := b.Deposit("a", amount); err == nil {
 			t.Fatalf("deposit of %v accepted", amount)
 		}
 	}
+	if err := b.Deposit("a", 1e308); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Deposit("a", 1e308); err == nil {
+		t.Fatal("a deposit overflowing the balance to +Inf was accepted")
+	}
 	if err := b.CloseDurability(); err != nil {
 		t.Fatal(err)
+	}
+	rb := durBroker(t, dir, 0, nil)
+	defer rb.CloseDurability()
+	if got := rb.walletStore().Balance("a"); got != 1e308 {
+		t.Fatalf("recovered balance %v, want 1e308", got)
 	}
 }
 

@@ -29,14 +29,27 @@ func checkDeposit(customer string, amount float64) error {
 	return nil
 }
 
+// checkCredit refuses a grant that would overflow the balance to +Inf:
+// such a balance buys anything, and recovery refuses a log that replays
+// to one, so a durable broker could not restart.
+func checkCredit(customer string, balance, amount float64) error {
+	if !isFinite(balance + amount) {
+		return fmt.Errorf("market: deposit %v would overflow %q's balance %v", amount, customer, balance)
+	}
+	return nil
+}
+
 // Deposit credits a customer's account. It returns an error for an empty
-// customer id or a non-positive amount.
+// customer id, a non-positive amount or a balance it would overflow.
 func (w *Wallets) Deposit(customer string, amount float64) error {
 	if err := checkDeposit(customer, amount); err != nil {
 		return err
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if err := checkCredit(customer, w.balances[customer], amount); err != nil {
+		return err
+	}
 	if w.balances == nil {
 		w.balances = make(map[string]float64)
 	}

@@ -296,6 +296,11 @@ func (c *Cluster) IngestRound(perNode [][]float64) error {
 	if len(perNode) != c.k {
 		return fmt.Errorf("shard: round has %d node batches, cluster has %d nodes", len(perNode), c.k)
 	}
+	// Refuse the whole round before it scatters, so no shard stores part
+	// of it.
+	if err := iot.ValidateReadings(perNode); err != nil {
+		return err
+	}
 	c.clock++
 	split := make([][][]float64, len(c.nets))
 	for s, ids := range c.ids {

@@ -156,6 +156,9 @@ type System struct {
 // single-broker iot.Network and the sharded shard.Cluster satisfy it.
 type deployment interface {
 	core.Source
+	Rate() float64
+	NumNodes() int
+	TotalN() int
 	Coverage() float64
 	SetDown(nodeID int, down bool) error
 	IngestRound(perNode [][]float64) error
@@ -164,7 +167,7 @@ type deployment interface {
 
 // NewSystem builds a deployment over the given readings. The values are
 // distributed across opt.Nodes simulated sensors; samples are collected
-// lazily when the first query needs them.
+// lazily when the first query needs them. A NaN reading is refused.
 func NewSystem(values []float64, opt Options) (*System, error) {
 	if len(values) == 0 {
 		return nil, fmt.Errorf("privrange: no data")
@@ -301,7 +304,8 @@ func publicAnswer(ans *core.Answer) *Answer {
 // Ingest appends new readings to the deployment (continuous data
 // collection), spreading them across the simulated nodes round-robin and
 // refreshing the collected samples at the current rate. Subsequent
-// queries see the grown dataset.
+// queries see the grown dataset. A batch holding a NaN reading is
+// refused whole: no node stores any of it.
 func (s *System) Ingest(values []float64) error {
 	if len(values) == 0 {
 		return nil

@@ -390,6 +390,56 @@ func TestSystemIngest(t *testing.T) {
 	}
 }
 
+// TestNaNReadingsRefused: a NaN reading is refused before any node
+// stores it, at construction and at ingest, single-broker and sharded.
+// A refused ingest leaves N unchanged and the deployment answering bit
+// for bit like a same-seed twin that never saw the round.
+func TestNaNReadingsRefused(t *testing.T) {
+	t.Parallel()
+	series := testSeries(t, 42)
+	head := series.Values[:8000]
+	acc := Accuracy{Alpha: 0.08, Delta: 0.6}
+	for _, shards := range []int{1, 4} {
+		opt := Options{Nodes: 16, Shards: shards, Seed: 43}
+		bad := append(append([]float64(nil), head...), math.NaN())
+		if _, err := NewSystem(bad, opt); err == nil {
+			t.Fatalf("S=%d: NewSystem accepted a NaN reading", shards)
+		}
+		sys, err := NewSystem(head, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, err := NewSystem(head, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		count := func(s *System) *Answer {
+			t.Helper()
+			ans, err := s.Count(40, 120, acc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ans
+		}
+		count(sys)
+		count(twin)
+		n := sys.N()
+		round := append([]float64(nil), series.Values[8000:8288]...)
+		round[100] = math.NaN()
+		if err := sys.Ingest(round); err == nil {
+			t.Fatalf("S=%d: Ingest accepted a NaN reading", shards)
+		}
+		if sys.N() != n {
+			t.Fatalf("S=%d: N = %d after a refused ingest, want %d", shards, sys.N(), n)
+		}
+		got, want := count(sys), count(twin)
+		if math.Float64bits(got.Value) != math.Float64bits(want.Value) || got.EpsilonPrime != want.EpsilonPrime ||
+			got.SamplingRate != want.SamplingRate || got.CollectionVersion != want.CollectionVersion {
+			t.Fatalf("S=%d: after a refused ingest %+v, twin %+v", shards, got, want)
+		}
+	}
+}
+
 func TestSystemCacheAnswers(t *testing.T) {
 	t.Parallel()
 	series := testSeries(t, 50)

@@ -8,8 +8,7 @@ import (
 )
 
 // shardTestValues builds a dataset with heavy duplicates — the
-// adversarial shape for rank semantics — large enough to engage the
-// parallel estimation paths.
+// adversarial shape for rank semantics.
 func shardTestValues(n int) []float64 {
 	values := make([]float64, n)
 	for i := range values {
