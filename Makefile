@@ -74,16 +74,16 @@ cover:
 
 # One testing.B target per paper figure + ablations; logs the series.
 # Also runs the hot-path micro-benchmarks (estimator loops, flat
-# columnar index batch kernel, engine batches, wire codec) and records
-# them in results/bench-index.txt; the pre-index baselines live in
-# results/bench-concurrency.txt. The telemetry-overhead comparison
+# columnar index batch kernel, engine batches, wire codec, the planner's
+# solve) and records them in results/bench-index.txt; the pre-index
+# baselines live in results/bench-concurrency.txt. The telemetry-overhead comparison
 # (instrumented hot paths with and without a live registry) lands in
 # results/bench-telemetry.txt plus a machine-readable
 # results/bench-telemetry.json via cmd/benchjson.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run=NONE .
 	@mkdir -p results
-	$(GO) test -bench=. -benchmem -run=NONE ./internal/estimator ./internal/core ./internal/wire | tee results/bench-index.txt
+	$(GO) test -bench=. -benchmem -run=NONE ./internal/estimator ./internal/core ./internal/wire ./internal/optimize | tee results/bench-index.txt
 	$(GO) test -bench='Telemetry|AnswerBatch|EstimateFlatIndex|EstimateIndexBatch' -benchmem -run=NONE ./internal/core ./internal/estimator | tee results/bench-telemetry.txt
 	$(GO) run ./cmd/benchjson -o results/bench-telemetry.json results/bench-telemetry.txt
 	$(GO) test -bench='BenchmarkServer' -benchmem -run=NONE ./internal/market | tee results/bench-serving.txt
@@ -92,7 +92,7 @@ bench:
 # iteration — the CI guard that keeps the bench suite building and
 # runnable without paying for stable timings.
 bench-smoke:
-	$(GO) test -bench=. -benchmem -benchtime=1x -run=NONE ./internal/estimator ./internal/core ./internal/wire ./internal/market
+	$(GO) test -bench=. -benchmem -benchtime=1x -run=NONE ./internal/estimator ./internal/core ./internal/wire ./internal/market ./internal/optimize
 
 # load is the serving-path gate: cmd/privload self-hosts a marketplace
 # and drives the same open-loop workload through the serial baseline
@@ -139,16 +139,18 @@ examples:
 	$(GO) run ./examples/iotnetwork
 	$(GO) run ./examples/streaming
 
-# FuzzRecover and FuzzHandle execute fsync (every accepted log is
-# compacted and recovered a second time; every buy and deposit is
-# journaled), so their minimization budget is capped: the 60s default
-# would spend the whole fuzz time shrinking one input.
+# FuzzRecover, FuzzRecoverSnapshot and FuzzHandle execute fsync (every
+# accepted log or snapshot is recovered a second time; every buy and
+# deposit is journaled), so their minimization budget is capped: the 60s
+# default would spend the whole fuzz time shrinking one input. -fuzz
+# must match exactly one target, hence the anchored patterns.
 fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/wire/
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=30s ./internal/dataset/
 	$(GO) test -fuzz=FuzzParseSpanContext -fuzztime=30s ./internal/telemetry/
-	$(GO) test -fuzz=FuzzRecover -fuzztime=30s -fuzzminimizetime=5s ./internal/market/
-	$(GO) test -fuzz=FuzzHandle -fuzztime=30s -fuzzminimizetime=5s ./internal/market/
+	$(GO) test -fuzz='^FuzzRecover$$' -fuzztime=30s -fuzzminimizetime=5s ./internal/market/
+	$(GO) test -fuzz='^FuzzRecoverSnapshot$$' -fuzztime=30s -fuzzminimizetime=5s ./internal/market/
+	$(GO) test -fuzz='^FuzzHandle$$' -fuzztime=30s -fuzzminimizetime=5s ./internal/market/
 
 # Fault-injection matrix (per-node loss × corruption × crash/recover
 # churn) plus the end-to-end degraded-deployment scenario, all under the
@@ -163,13 +165,15 @@ chaos:
 # (corrupt tails, snapshot+log replay, compaction, legacy and corrupt
 # snapshot.json files), the compaction torn-snapshot regression, the
 # cache-hit ordering check over every crash prefix of a concurrent log,
-# the WAL decode/recovery fuzz seeds, the accountant snapshot/restore unit
-# tests, the pinned release table (fixed-seed single releases and
+# concurrent deposits that must not journal a credit the live broker
+# refuses, the WAL and snapshot.json recovery fuzz seeds (the -run
+# pattern FuzzRecover matches both targets), the accountant
+# snapshot/restore unit tests, the pinned release table (fixed-seed single releases and
 # durable sales, values and books bit-for-bit), and the facade scenario
 # that restarts a marketplace on its WAL directory. See DESIGN.md §12
 # for the durability model these prove.
 durability:
-	$(GO) test -race -run 'TestPinnedReleases|TestCrashPoint|TestWAL|TestRecover|TestReplay|TestDurable|TestEnableDurability|TestGroupCommit|TestCompaction|TestDecodeWAL|TestConcurrentCompactVsBuy|TestConcurrentDurableBuysRecover|TestWithheldSpendSurvivesRestart|TestCacheHitNeverOutrunsItsCharge|TestDepositCreditAfterDurable|TestDepositRejectsNonFinite|TestRestoreRejects|FuzzRecover|TestAccountant|TestFullScenarioIntegration' ./internal/market/ ./internal/dp/ .
+	$(GO) test -race -run 'TestPinnedReleases|TestCrashPoint|TestWAL|TestRecover|TestReplay|TestDurable|TestEnableDurability|TestGroupCommit|TestCompaction|TestDecodeWAL|TestConcurrentCompactVsBuy|TestConcurrentDurableBuysRecover|TestWithheldSpendSurvivesRestart|TestCacheHitNeverOutrunsItsCharge|TestDepositCreditAfterDurable|TestDepositRejectsNonFinite|TestConcurrentDepositsRecover|TestRestoreRejects|FuzzRecover|TestAccountant|TestFullScenarioIntegration' ./internal/market/ ./internal/dp/ .
 
 # shard runs the sharded scale-out gate under the race detector: the
 # shard-count determinism suite (answers bit-identical to the

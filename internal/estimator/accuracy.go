@@ -66,32 +66,6 @@ func RequiredProbability(acc Accuracy, k, n int) (float64, error) {
 	return 2 * kf / (kf + math.Sqrt(kf*kf+2*kf*(1-acc.Delta)*t*t)), nil
 }
 
-// AchievableDelta inverts Theorem 3.3: for samples already collected at
-// probability p, it returns the largest confidence δ′ such that the
-// existing sample answers (α′, δ′)-range counting. From Chebyshev:
-//
-//	δ′ = 1 − V(p, k)/(α′n)²
-//
-// The result can be negative when p is too small for the requested α′ at
-// all — callers must treat a non-positive δ′ as infeasible. It returns an
-// error for p ∉ (0, 1], α′ ∉ (0, 1), k < 1 or n < 1.
-func AchievableDelta(p, alphaPrime float64, k, n int) (float64, error) {
-	if p <= 0 || p > 1 {
-		return 0, fmt.Errorf("estimator: sampling probability %v outside (0, 1]", p)
-	}
-	if !(alphaPrime > 0 && alphaPrime < 1) {
-		return 0, fmt.Errorf("estimator: alpha' %v outside (0, 1)", alphaPrime)
-	}
-	if k < 1 {
-		return 0, fmt.Errorf("estimator: node count %d < 1", k)
-	}
-	if n < 1 {
-		return 0, fmt.Errorf("estimator: dataset size %d < 1", n)
-	}
-	t := alphaPrime * float64(n)
-	return 1 - GlobalVariance(p, k)/(t*t), nil
-}
-
 // ExpectedSamples returns the expected communication volume |D|·p of a
 // Bernoulli sample, the quantity the paper's cost argument is about.
 func ExpectedSamples(n int, p float64) float64 {

@@ -625,51 +625,6 @@ func TestGlobalVarianceMonteCarlo(t *testing.T) {
 	}
 }
 
-func TestAchievableDeltaInvertsRequiredProbability(t *testing.T) {
-	t.Parallel()
-	const (
-		k = 12
-		n = 20000
-	)
-	acc := Accuracy{Alpha: 0.06, Delta: 0.6}
-	p, err := RequiredProbability(acc, k, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	delta, err := AchievableDelta(p, acc.Alpha, k, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(delta-acc.Delta) > 1e-9 {
-		t.Errorf("AchievableDelta = %v, want %v", delta, acc.Delta)
-	}
-	if _, err := AchievableDelta(0, 0.1, k, n); err == nil {
-		t.Error("p=0 should fail")
-	}
-	if _, err := AchievableDelta(0.5, 0, k, n); err == nil {
-		t.Error("alpha=0 should fail")
-	}
-	if _, err := AchievableDelta(0.5, 0.1, 0, n); err == nil {
-		t.Error("k=0 should fail")
-	}
-	if _, err := AchievableDelta(0.5, 0.1, k, 0); err == nil {
-		t.Error("n=0 should fail")
-	}
-}
-
-func TestAchievableDeltaInfeasible(t *testing.T) {
-	t.Parallel()
-	// Absurdly small p for the requested accuracy: δ′ must be ≤ 0,
-	// signalling infeasibility rather than erroring.
-	delta, err := AchievableDelta(0.001, 0.01, 100, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if delta > 0 {
-		t.Errorf("delta = %v, want non-positive (infeasible)", delta)
-	}
-}
-
 func TestExpectedSamples(t *testing.T) {
 	t.Parallel()
 	if got := ExpectedSamples(1000, 0.25); got != 250 {

@@ -6,12 +6,6 @@ import (
 	"privrange/internal/market"
 )
 
-// grantUnjournaled credits a wallet with no WAL record: the grant
-// vanishes on the next crash.
-func grantUnjournaled(w *market.Wallets) error {
-	return w.Deposit("alice", 5) // want `without journaling`
-}
-
 // recordUnjournaled appends a receipt the log never sees.
 func recordUnjournaled(l *market.Ledger) {
 	l.Record(market.Receipt{Customer: "alice", Dataset: "ozone"}) // want `without journaling`

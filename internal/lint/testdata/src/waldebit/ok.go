@@ -14,15 +14,6 @@ type books struct {
 // accepts any journal*-named call as evidence.
 func (b *books) journalGrant(customer string, amount float64) error { return nil }
 
-// grantJournaled pairs the wallet mutation with a journal append — the
-// sanctioned shape.
-func (b *books) grantJournaled(w *market.Wallets) error {
-	if err := w.Deposit("alice", 5); err != nil {
-		return err
-	}
-	return b.journalGrant("alice", 5)
-}
-
 // recordWALBacked journals through the WAL type directly.
 func (b *books) recordWALBacked(l *market.Ledger) error {
 	l.Record(market.Receipt{Customer: "alice", Dataset: "ozone"})

@@ -17,7 +17,7 @@ import (
 // vanishes money.
 //
 // Mechanization: a function that calls one of the book mutators
-// (market.Wallets.Deposit/debit/refund, market.Ledger.Record,
+// (market.Wallets.settle/debit/refund, market.Ledger.Record,
 // dp.Accountant.Spend) must also show journaling evidence — a call to a
 // journal*-named helper or to a method on the WAL type. Two layers are
 // exempt: internal/dp (the accountant IS the mutated state) and
@@ -42,7 +42,7 @@ const dpPkg = "privrange/internal/dp"
 
 // walMutators are the typed calls that move money, receipts or ε.
 var walMutators = []struct{ pkg, name string }{
-	{marketPkg, "Wallets.Deposit"},
+	{marketPkg, "Wallets.settle"},
 	{marketPkg, "Wallets.debit"},
 	{marketPkg, "Wallets.refund"},
 	{marketPkg, "Ledger.Record"},

@@ -303,22 +303,19 @@ func (b *Broker) Deposit(customer string, amount float64) error {
 	if w == nil {
 		return fmt.Errorf("market: broker runs in invoice mode (no wallets attached)")
 	}
-	if err := checkDeposit(customer, amount); err != nil {
-		return err
-	}
-	if err := checkCredit(customer, w.Balance(customer), amount); err != nil {
+	// The credit is checked and reserved under the wallet lock before
+	// the record is journaled, so a concurrent deposit's overflow check
+	// counts it: two deposits that together overflow the balance cannot
+	// both reach the log.
+	if err := w.reserve(customer, amount); err != nil {
 		return err
 	}
 	b.commitMu.RLock()
-	err := func() error {
-		if err := b.journal(WALRecord{Op: opDeposit, Customer: customer, Amount: amount}, telemetry.SpanContext{}); err != nil {
-			return err
-		}
-		if err := b.journalSync(telemetry.SpanContext{}); err != nil {
-			return err
-		}
-		return w.Deposit(customer, amount)
-	}()
+	err := b.journal(WALRecord{Op: opDeposit, Customer: customer, Amount: amount}, telemetry.SpanContext{})
+	if err == nil {
+		err = b.journalSync(telemetry.SpanContext{})
+	}
+	w.settle(customer, amount, err == nil)
 	b.commitMu.RUnlock()
 	if err == nil {
 		b.maybeCompact()

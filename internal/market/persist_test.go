@@ -23,7 +23,7 @@ func TestRecoverLegacyStateFile(t *testing.T) {
 	broker, _ := buildBroker(t, pricing.InverseVariance{C: 1e9})
 	var w Wallets
 	broker.AttachWallets(&w)
-	if err := w.Deposit("alice", 1e6); err != nil {
+	if err := broker.Deposit("alice", 1e6); err != nil {
 		t.Fatal(err)
 	}
 	req := Request{Dataset: "ozone", Customer: "alice", L: 30, U: 90, Alpha: 0.1, Delta: 0.5}
@@ -276,7 +276,7 @@ func TestCapRefundsPrepaidCustomer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Deposit("alice", price*5); err != nil {
+	if err := broker.Deposit("alice", price*5); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := broker.Buy(req)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -74,6 +75,13 @@ type WALRecord struct {
 // point (tests) or a write failure: the broker's durable state can no
 // longer advance, so every subsequent mutation is refused.
 var errWALCrashed = errors.New("market: write-ahead log is dead (crash or I/O failure); broker is read-only until restarted")
+
+// errWALSeqExhausted reports that the log has assigned its last sequence
+// number. A wrapped number would sit at or below the snapshot's
+// last_seq, where replay skips it, so the acknowledged mutation would
+// vanish on the next recovery; every further mutation is refused
+// instead.
+var errWALSeqExhausted = errors.New("market: write-ahead log sequence numbers exhausted; broker is read-only")
 
 // walCrashPoint names the instants the fault-injection hook may kill
 // the log at, covering every boundary a real crash can hit.
@@ -211,6 +219,10 @@ func (w *WAL) Append(r WALRecord) (uint64, error) {
 			w.err = errWALCrashed
 			return 0, w.err
 		}
+	}
+	if w.seq == math.MaxUint64 {
+		w.err = errWALSeqExhausted
+		return 0, w.err
 	}
 	w.seq++
 	r.Seq = w.seq

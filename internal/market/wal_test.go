@@ -862,6 +862,50 @@ func TestDepositRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// TestConcurrentDepositsRecover: two concurrent deposits that together
+// would overflow a balance must not both reach the log. One is acked
+// and one refused, and a recovery from the directory as a crash leaves
+// it (no clean shutdown, so no compaction folds the records away)
+// reproduces the live balance.
+func TestConcurrentDepositsRecover(t *testing.T) {
+	for trial := 0; trial < 20; trial++ {
+		dir := t.TempDir()
+		b := fuzzBroker(t)
+		if err := b.EnableDurability(dir, WithCompactionThreshold(0)); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		for i := range errs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				errs[i] = b.Deposit("c", 1e308)
+			}(i)
+		}
+		wg.Wait()
+		if (errs[0] == nil) == (errs[1] == nil) {
+			t.Fatalf("trial %d: deposit errors %v and %v, want exactly one acked", trial, errs[0], errs[1])
+		}
+		if got := b.walletStore().Balance("c"); got != 1e308 {
+			t.Fatalf("trial %d: live balance %v, want 1e308", trial, got)
+		}
+		rb := fuzzBroker(t)
+		if err := rb.EnableDurability(dir, WithCompactionThreshold(0)); err != nil {
+			t.Fatalf("trial %d: crash recovery refused the log: %v", trial, err)
+		}
+		if got := rb.walletStore().Balance("c"); got != 1e308 {
+			t.Fatalf("trial %d: recovered balance %v, want 1e308", trial, got)
+		}
+		if err := rb.CloseDurability(); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.CloseDurability(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestWALDeadAfterCrash: once the log dies, every further mutation is
 // refused — the broker cannot silently diverge from its journal.
 func TestWALDeadAfterCrash(t *testing.T) {

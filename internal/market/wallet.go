@@ -13,6 +13,18 @@ import (
 type Wallets struct {
 	mu       sync.Mutex
 	balances map[string]float64
+	// pending holds the credit of broker deposits reserved but not yet
+	// settled (their records are being journaled). The overflow check
+	// counts it, so two concurrent deposits that together overflow a
+	// balance cannot both reach the log.
+	pending map[string]pendingCredit
+}
+
+// pendingCredit is one customer's reserved credit: how many deposits
+// hold a reservation, and their sum.
+type pendingCredit struct {
+	n   int
+	sum float64
 }
 
 // checkDeposit validates a grant before anything is journaled or
@@ -29,9 +41,10 @@ func checkDeposit(customer string, amount float64) error {
 	return nil
 }
 
-// checkCredit refuses a grant that would overflow the balance to +Inf:
-// such a balance buys anything, and recovery refuses a log that replays
-// to one, so a durable broker could not restart.
+// checkCredit refuses a grant that would overflow the balance (with any
+// reserved credit) to +Inf: such a balance buys anything, and recovery
+// refuses a log that replays to one, so a durable broker could not
+// restart.
 func checkCredit(customer string, balance, amount float64) error {
 	if !isFinite(balance + amount) {
 		return fmt.Errorf("market: deposit %v would overflow %q's balance %v", amount, customer, balance)
@@ -39,22 +52,47 @@ func checkCredit(customer string, balance, amount float64) error {
 	return nil
 }
 
-// Deposit credits a customer's account. It returns an error for an empty
-// customer id, a non-positive amount or a balance it would overflow.
-func (w *Wallets) Deposit(customer string, amount float64) error {
+// reserve checks a grant (an empty customer id, a non-positive amount,
+// or a balance it would overflow with the credit already reserved) and
+// holds its credit without applying it, for a deposit whose record is
+// about to be journaled. Every reserve must be ended by exactly one
+// settle.
+func (w *Wallets) reserve(customer string, amount float64) error {
 	if err := checkDeposit(customer, amount); err != nil {
 		return err
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := checkCredit(customer, w.balances[customer], amount); err != nil {
+	pc := w.pending[customer]
+	if err := checkCredit(customer, w.balances[customer]+pc.sum, amount); err != nil {
 		return err
+	}
+	if w.pending == nil {
+		w.pending = make(map[string]pendingCredit)
+	}
+	w.pending[customer] = pendingCredit{n: pc.n + 1, sum: pc.sum + amount}
+	return nil
+}
+
+// settle ends a reservation: it credits the balance once the deposit's
+// record is durable (apply), and only releases the credit otherwise.
+func (w *Wallets) settle(customer string, amount float64, apply bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	// The last reservation deletes the entry, so float residue in sum
+	// never outlives the deposits in flight.
+	if pc := w.pending[customer]; pc.n > 1 {
+		w.pending[customer] = pendingCredit{n: pc.n - 1, sum: pc.sum - amount}
+	} else {
+		delete(w.pending, customer)
+	}
+	if !apply {
+		return
 	}
 	if w.balances == nil {
 		w.balances = make(map[string]float64)
 	}
 	w.balances[customer] += amount
-	return nil
 }
 
 // Balance returns a customer's current balance (0 for unknown

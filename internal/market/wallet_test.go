@@ -11,16 +11,26 @@ import (
 	"privrange/internal/pricing"
 )
 
+// deposit credits w through the reservation Broker.Deposit makes, with
+// no journal in between.
+func deposit(w *Wallets, customer string, amount float64) error {
+	if err := w.reserve(customer, amount); err != nil {
+		return err
+	}
+	w.settle(customer, amount, true)
+	return nil
+}
+
 func TestWalletsBasics(t *testing.T) {
 	t.Parallel()
 	var w Wallets
-	if err := w.Deposit("", 10); err == nil {
+	if err := deposit(&w, "", 10); err == nil {
 		t.Error("empty customer should fail")
 	}
-	if err := w.Deposit("alice", 0); err == nil {
+	if err := deposit(&w, "alice", 0); err == nil {
 		t.Error("zero deposit should fail")
 	}
-	if err := w.Deposit("alice", 100); err != nil {
+	if err := deposit(&w, "alice", 100); err != nil {
 		t.Fatal(err)
 	}
 	if got := w.Balance("alice"); got != 100 {
@@ -45,7 +55,7 @@ func TestWalletsBasics(t *testing.T) {
 	if got := w.Balance("alice"); got != 100 {
 		t.Errorf("refund balance = %v", got)
 	}
-	if err := w.Deposit("bob", 5); err != nil {
+	if err := deposit(&w, "bob", 5); err != nil {
 		t.Fatal(err)
 	}
 	cs := w.Customers()
@@ -57,7 +67,7 @@ func TestWalletsBasics(t *testing.T) {
 func TestWalletsConcurrent(t *testing.T) {
 	t.Parallel()
 	var w Wallets
-	if err := w.Deposit("alice", 1000); err != nil {
+	if err := deposit(&w, "alice", 1000); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -94,7 +104,7 @@ func TestPrepaidBrokerEnforcesBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Deposit("alice", price*2.5); err != nil {
+	if err := broker.Deposit("alice", price*2.5); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := broker.Buy(req); err != nil {
@@ -142,7 +152,7 @@ func TestPrepaidBrokerRefundsOnAnswerFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Deposit("alice", price*2); err != nil {
+	if err := broker.Deposit("alice", price*2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := broker.Buy(req); err == nil {

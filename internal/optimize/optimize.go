@@ -15,7 +15,9 @@
 //	ε(α′) = Δγ̂ / ((α−α′)·n) · ln(δ′/(δ′−δ))
 //
 // with Δγ̂ = 1/p, the expected sensitivity of the RankCounting estimate.
-// A grid search over α′ then minimizes ε (and, monotonically, ε′).
+// A grid search over α′ then minimizes ε′. It ranks grid points on ε,
+// which ε′ follows, and evaluates ε′ only where rounding could make the
+// two rankings disagree (THEORY §2).
 package optimize
 
 import (
@@ -76,7 +78,7 @@ func (p *Problem) validate() error {
 	if err := p.Accuracy.Validate(); err != nil {
 		return err
 	}
-	if p.P <= 0 || p.P > 1 {
+	if !(p.P > 0 && p.P <= 1) {
 		return fmt.Errorf("optimize: sampling probability %v outside (0, 1]", p.P)
 	}
 	if p.K < 1 {
@@ -120,6 +122,88 @@ func (p *Problem) MinAlphaPrime() float64 {
 	return math.Sqrt(estimator.GlobalVariance(p.P, p.K)/(1-p.Accuracy.Delta)) / float64(p.N)
 }
 
+// objective is ε(α′) for one problem, with everything that does not
+// depend on α′ computed once.
+type objective struct {
+	alpha, delta float64
+	v            float64 // estimator.GlobalVariance(p, k)
+	sens         float64 // Δγ̂
+	n, p         float64
+}
+
+func (p *Problem) objective() objective {
+	return objective{
+		alpha: p.Accuracy.Alpha,
+		delta: p.Accuracy.Delta,
+		v:     estimator.GlobalVariance(p.P, p.K),
+		sens:  p.sensitivity(),
+		n:     float64(p.N),
+		p:     p.P,
+	}
+}
+
+// eps returns the minimal base budget ε at α′ and the sampling phase's
+// confidence δ′ = 1 − V/(α′n)². ok is false when α′ ∉ (0, α) or δ′ ≤ δ
+// leaves no plan. This is the one place the closed form is written, so
+// the scan, the polish and the returned plan round identically.
+func (o *objective) eps(alphaPrime float64) (eps, deltaPrime float64, ok bool) {
+	if !(alphaPrime > 0 && alphaPrime < o.alpha) {
+		return 0, 0, false
+	}
+	t := alphaPrime * o.n
+	deltaPrime = 1 - o.v/(t*t)
+	if deltaPrime <= o.delta {
+		return 0, deltaPrime, false
+	}
+	slack := (o.alpha - alphaPrime) * o.n
+	return o.sens / slack * math.Log(deltaPrime/(deltaPrime-o.delta)), deltaPrime, true
+}
+
+// amplify is dp.AmplifyBySampling at the problem's rate. Its error
+// cannot occur here: p ∈ (0, 1] is validated, and eps never returns a
+// negative ε, since δ′ > δ > 0 puts the log's argument at 1 or above.
+func (o *objective) amplify(eps float64) float64 {
+	epsPrime, _ := dp.AmplifyBySampling(eps, o.p)
+	return epsPrime
+}
+
+// epsPrime is ε′ at α′, or +Inf where EpsilonForAlphaPrime refuses α′.
+func (o *objective) epsPrime(alphaPrime float64) float64 {
+	eps, _, ok := o.eps(alphaPrime)
+	if !ok {
+		return math.Inf(1)
+	}
+	return o.amplify(eps)
+}
+
+// bandTol is the relative gap in ε beyond which two grid points rank the
+// same on ε as on computed ε′. The computed ε′ lies within ~3 ulp of
+// f(ε) = ln(1 + p(e^ε − 1)), and a relative gap in ε carries over to f
+// at least as large (THEORY §2), so any gap far above 3 ulp decides.
+const bandTol = 1e-9
+
+// rank places a grid point's ε against the best ε so far: −1 when the
+// point's computed ε′ is certainly below the best's, +1 when it is
+// certainly not, and 0 when only the computed ε′ values can tell. The
+// ε order decides only outside the band [(1−bandTol)·best,
+// (1+bandTol)·best], and only while the best's ε′ keeps its relative
+// accuracy: e^ε must not overflow (ε′ saturates at +Inf just above
+// ε = 709.78), and p·ε must stay clear of the subnormals, where
+// rounding is absolute rather than relative. A NaN on either side falls
+// through to 0.
+func (o *objective) rank(eps, best float64) int {
+	if best >= 709 || o.p*best < 0x1p-1000 {
+		return 0
+	}
+	switch {
+	case eps < (1-bandTol)*best:
+		return -1
+	case eps > (1+bandTol)*best:
+		return 1
+	}
+	return 0
+}
+
 // EpsilonForAlphaPrime computes the minimal base budget for a fixed α′:
 // the closed form the paper derives from the Laplace tail. It returns
 // ErrInfeasible when α′ leaves no room for either phase.
@@ -128,42 +212,49 @@ func (p *Problem) EpsilonForAlphaPrime(alphaPrime float64) (Plan, error) {
 		return Plan{}, err
 	}
 	alpha, delta := p.Accuracy.Alpha, p.Accuracy.Delta
-	if alphaPrime <= 0 || alphaPrime >= alpha {
+	if !(alphaPrime > 0 && alphaPrime < alpha) {
 		return Plan{}, fmt.Errorf("%w: alpha' %v not in (0, %v)", ErrInfeasible, alphaPrime, alpha)
 	}
-	deltaPrime, err := estimator.AchievableDelta(p.P, alphaPrime, p.K, p.N)
-	if err != nil {
-		return Plan{}, err
-	}
-	if deltaPrime <= delta {
+	o := p.objective()
+	eps, deltaPrime, ok := o.eps(alphaPrime)
+	if !ok {
 		return Plan{}, fmt.Errorf("%w: delta' %v does not exceed required delta %v at alpha'=%v",
 			ErrInfeasible, deltaPrime, delta, alphaPrime)
 	}
-	sens := p.sensitivity()
-	slack := (alpha - alphaPrime) * float64(p.N)
-	eps := sens / slack * math.Log(deltaPrime/(deltaPrime-delta))
 	epsPrime, err := dp.AmplifyBySampling(eps, p.P)
 	if err != nil {
 		return Plan{}, err
 	}
-	noise := dp.Laplace{Scale: sens / eps}
+	noise := dp.Laplace{Scale: o.sens / eps}
 	return Plan{
 		AlphaPrime:   alphaPrime,
 		DeltaPrime:   deltaPrime,
 		Epsilon:      eps,
 		EpsilonPrime: epsPrime,
-		Sensitivity:  sens,
-		NoiseScale:   sens / eps,
-		Tau:          noise.AbsCDF(slack),
+		Sensitivity:  o.sens,
+		NoiseScale:   o.sens / eps,
+		Tau:          noise.AbsCDF((alpha - alphaPrime) * o.n),
 	}, nil
 }
 
 // Solve runs the grid search over α′ and returns the plan with the
-// smallest effective budget ε′. It returns ErrInfeasible (wrapped with the
-// minimum workable sampling rate) when even α′ → α cannot reach δ.
+// smallest effective budget ε′, the first grid point winning a tie. It
+// returns ErrInfeasible (wrapped with the minimum workable sampling
+// rate) when even α′ → α cannot reach δ.
 func (p *Problem) Solve() (Plan, error) {
-	if err := p.validate(); err != nil {
+	alphaPrime, _, err := p.scan()
+	if err != nil {
 		return Plan{}, err
+	}
+	return p.EpsilonForAlphaPrime(alphaPrime)
+}
+
+// scan runs Solve's grid and returns the winning α′ with its ε′: the
+// point a strict < over every grid point's computed ε′ would keep. It
+// ranks points on ε and amplifies only where rank cannot decide.
+func (p *Problem) scan() (alphaPrime, epsPrime float64, err error) {
+	if err := p.validate(); err != nil {
+		return 0, 0, err
 	}
 	lo := p.MinAlphaPrime()
 	hi := p.Accuracy.Alpha
@@ -173,33 +264,48 @@ func (p *Problem) Solve() (Plan, error) {
 		// search space.
 		need, rerr := estimator.RequiredProbability(p.Accuracy, p.K, p.N)
 		if rerr != nil {
-			return Plan{}, rerr
+			return 0, 0, rerr
 		}
-		return Plan{}, fmt.Errorf("%w: sampling rate %.5f too low, need at least ~%.5f", ErrInfeasible, p.P, need)
+		return 0, 0, fmt.Errorf("%w: sampling rate %.5f too low, need at least ~%.5f", ErrInfeasible, p.P, need)
 	}
+	o := p.objective()
 	grid := p.grid()
 	var (
-		best  Plan
-		found bool
+		found   bool
+		known   bool // epsPrime holds the ε′ of the best point so far
+		bestEps float64
 	)
 	for i := 1; i < grid; i++ {
-		alphaPrime := lo + (hi-lo)*float64(i)/float64(grid)
-		plan, err := p.EpsilonForAlphaPrime(alphaPrime)
-		if err != nil {
-			if errors.Is(err, ErrInfeasible) {
+		ap := lo + (hi-lo)*float64(i)/float64(grid)
+		eps, _, ok := o.eps(ap)
+		if !ok {
+			continue
+		}
+		if found {
+			switch o.rank(eps, bestEps) {
+			case 1:
+				continue
+			case 0:
+				if !known {
+					epsPrime, known = o.amplify(bestEps), true
+				}
+				cand := o.amplify(eps)
+				if !(cand < epsPrime) {
+					continue
+				}
+				alphaPrime, bestEps, epsPrime = ap, eps, cand
 				continue
 			}
-			return Plan{}, err
 		}
-		if !found || plan.EpsilonPrime < best.EpsilonPrime {
-			best = plan
-			found = true
-		}
+		found, known, alphaPrime, bestEps = true, false, ap, eps
 	}
 	if !found {
-		return Plan{}, fmt.Errorf("%w: empty feasible grid in (%v, %v)", ErrInfeasible, lo, hi)
+		return 0, 0, fmt.Errorf("%w: empty feasible grid in (%v, %v)", ErrInfeasible, lo, hi)
 	}
-	return best, nil
+	if !known {
+		epsPrime = o.amplify(bestEps)
+	}
+	return alphaPrime, epsPrime, nil
 }
 
 // Verify checks that the plan satisfies every constraint of problem (3)

@@ -3,6 +3,7 @@ package optimize
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -102,10 +103,8 @@ func TestEpsilonForAlphaPrimeClosedForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deltaPrime, err := estimator.AchievableDelta(p.P, alphaPrime, p.K, p.N)
-	if err != nil {
-		t.Fatal(err)
-	}
+	at := alphaPrime * float64(p.N)
+	deltaPrime := 1 - estimator.GlobalVariance(p.P, p.K)/(at*at)
 	want := (1 / p.P) / ((p.Accuracy.Alpha - alphaPrime) * float64(p.N)) *
 		math.Log(deltaPrime/(deltaPrime-p.Accuracy.Delta))
 	if math.Abs(plan.Epsilon-want) > 1e-12 {
@@ -116,9 +115,9 @@ func TestEpsilonForAlphaPrimeClosedForm(t *testing.T) {
 func TestEpsilonForAlphaPrimeRejectsOutOfRange(t *testing.T) {
 	t.Parallel()
 	p := validProblem()
-	for _, bad := range []float64{0, -0.1, p.Accuracy.Alpha, 0.5} {
-		if _, err := p.EpsilonForAlphaPrime(bad); err == nil {
-			t.Errorf("alpha'=%v should fail", bad)
+	for _, bad := range []float64{0, -0.1, p.Accuracy.Alpha, 0.5, math.NaN()} {
+		if _, err := p.EpsilonForAlphaPrime(bad); !errors.Is(err, ErrInfeasible) {
+			t.Errorf("alpha'=%v: err = %v, want ErrInfeasible", bad, err)
 		}
 	}
 }
@@ -128,11 +127,13 @@ func TestProblemValidation(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*Problem)
+		want   string // a substring of the error, when set
 	}{
 		{name: "bad alpha", mutate: func(p *Problem) { p.Accuracy.Alpha = 0 }},
 		{name: "bad delta", mutate: func(p *Problem) { p.Accuracy.Delta = 1 }},
 		{name: "p zero", mutate: func(p *Problem) { p.P = 0 }},
 		{name: "p above one", mutate: func(p *Problem) { p.P = 1.01 }},
+		{name: "p NaN", mutate: func(p *Problem) { p.P = math.NaN() }, want: "sampling probability NaN"},
 		{name: "k zero", mutate: func(p *Problem) { p.K = 0 }},
 		{name: "n zero", mutate: func(p *Problem) { p.N = 0 }},
 		{name: "negative sensitivity", mutate: func(p *Problem) { p.Sensitivity = -1 }},
@@ -144,8 +145,12 @@ func TestProblemValidation(t *testing.T) {
 			t.Parallel()
 			p := validProblem()
 			tc.mutate(&p)
-			if _, err := p.Solve(); err == nil {
-				t.Error("Solve should reject invalid problem")
+			_, err := p.Solve()
+			if err == nil {
+				t.Fatal("Solve should reject invalid problem")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Solve error %q does not mention %q", err, tc.want)
 			}
 		})
 	}

@@ -14,7 +14,7 @@ import (
 // resolution. The returned plan is always feasible and never worse than
 // the plain grid solution.
 func (p *Problem) SolveRefined() (Plan, error) {
-	best, err := p.Solve()
+	best, bestPrime, err := p.scan()
 	if err != nil {
 		return Plan{}, err
 	}
@@ -25,57 +25,40 @@ func (p *Problem) SolveRefined() (Plan, error) {
 
 	// Bracket one grid step to each side of the winner, clipped to the
 	// open feasible interval.
-	a := math.Max(lo+1e-12, best.AlphaPrime-step)
-	b := math.Min(hi-1e-12, best.AlphaPrime+step)
+	a := math.Max(lo+1e-12, best-step)
+	b := math.Min(hi-1e-12, best+step)
 	if a >= b {
-		return best, nil
+		return p.EpsilonForAlphaPrime(best)
 	}
 
-	value := func(alphaPrime float64) (Plan, bool) {
-		plan, err := p.EpsilonForAlphaPrime(alphaPrime)
-		if err != nil {
-			return Plan{}, false
-		}
-		return plan, true
-	}
-
+	// Probes rank on ε′ alone; infeasible ones (possible at the extreme
+	// ends of the bracket) rank as +Inf.
+	o := p.objective()
 	const (
 		invPhi = 0.6180339887498949 // (√5 − 1) / 2
 		iters  = 60
 	)
 	c := b - (b-a)*invPhi
 	d := a + (b-a)*invPhi
-	pc, okc := value(c)
-	pd, okd := value(d)
+	fc, fd := o.epsPrime(c), o.epsPrime(d)
 	for i := 0; i < iters && b-a > 1e-14; i++ {
-		// Infeasible probes (possible at the extreme ends of the bracket)
-		// rank as +Inf.
-		fc, fd := math.Inf(1), math.Inf(1)
-		if okc {
-			fc = pc.EpsilonPrime
-		}
-		if okd {
-			fd = pd.EpsilonPrime
-		}
 		if fc < fd {
-			b, d, pd, okd = d, c, pc, okc
+			b, d, fd = d, c, fc
 			c = b - (b-a)*invPhi
-			pc, okc = value(c)
+			fc = o.epsPrime(c)
 		} else {
-			a, c, pc, okc = c, d, pd, okd
+			a, c, fc = c, d, fd
 			d = a + (b-a)*invPhi
-			pd, okd = value(d)
+			fd = o.epsPrime(d)
 		}
 	}
-	for _, cand := range []struct {
-		plan Plan
-		ok   bool
-	}{{pc, okc}, {pd, okd}} {
-		if cand.ok && cand.plan.EpsilonPrime < best.EpsilonPrime {
-			best = cand.plan
-		}
+	if fc < bestPrime {
+		best, bestPrime = c, fc
 	}
-	return best, nil
+	if fd < bestPrime {
+		best = d
+	}
+	return p.EpsilonForAlphaPrime(best)
 }
 
 // IsInfeasible reports whether err (from Solve or SolveRefined) means the
