@@ -6,7 +6,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 STATICCHECK ?= staticcheck
 
-.PHONY: all check build vet lint privlint lint-report staticcheck tools test race cover bench bench-smoke bench-trace load slo experiments examples fuzz chaos shard durability clean
+.PHONY: all check build vet lint privlint lint-report staticcheck tools test race cover bench bench-smoke load slo experiments examples fuzz chaos shard durability clean
 
 all: build vet test
 
@@ -28,9 +28,10 @@ vet:
 lint: vet privlint staticcheck
 
 # privlint is the repo's own go/analysis-style suite (internal/lint):
-# eleven analyzers mechanizing the privacy, determinism, locking,
-# lock-ordering, goroutine-discipline, atomicity, billing,
-# error-wrapping, telemetry-taint and WAL-journaling invariants, with
+# ten analyzers mechanizing the privacy-boundary (released answers and
+# telemetry alike), determinism, locking, lock-ordering,
+# goroutine-discipline, atomicity, billing, error-wrapping and
+# WAL-journaling invariants, with
 # cross-package facts serialized between packages. See DESIGN.md §8 for
 # the catalog and §13 for the lock-order DAG. Findings are suppressed
 # only by `//lint:allow <analyzer> <reason>`; reasonless or unused
@@ -74,18 +75,15 @@ cover:
 
 # One testing.B target per paper figure + ablations; logs the series.
 # Also runs the hot-path micro-benchmarks (estimator loops, flat
-# columnar index batch kernel, engine batches, wire codec, the planner's
-# solve) and records them in results/bench-index.txt; the pre-index
-# baselines live in results/bench-concurrency.txt. The telemetry-overhead comparison
-# (instrumented hot paths with and without a live registry) lands in
-# results/bench-telemetry.txt plus a machine-readable
-# results/bench-telemetry.json via cmd/benchjson.
+# columnar index batch kernel, engine batches with and without
+# telemetry and tracing, wire codec, the planner's solve) and records
+# them in results/bench-index.txt; the pre-index baselines live in
+# results/bench-concurrency.txt. Tracing overhead is measured end to
+# end by perfbench (telemetry.trace_overhead_pct), not here.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run=NONE .
 	@mkdir -p results
 	$(GO) test -bench=. -benchmem -run=NONE ./internal/estimator ./internal/core ./internal/wire ./internal/optimize | tee results/bench-index.txt
-	$(GO) test -bench='Telemetry|AnswerBatch|EstimateFlatIndex|EstimateIndexBatch' -benchmem -run=NONE ./internal/core ./internal/estimator | tee results/bench-telemetry.txt
-	$(GO) run ./cmd/benchjson -o results/bench-telemetry.json results/bench-telemetry.txt
 	$(GO) test -bench='BenchmarkServer' -benchmem -run=NONE ./internal/market | tee results/bench-serving.txt
 
 # bench-smoke compiles every benchmark and runs each for exactly one
@@ -109,15 +107,6 @@ load:
 	@mkdir -p results
 	$(GO) run ./cmd/privload -rate 4000 -duration 2s -conns 8 \
 		-o results/bench-load.json -txt results/bench-load.txt
-
-# bench-trace records the distributed-tracing overhead comparison: the
-# engine hot paths with telemetry alone vs telemetry plus 1-in-64 trace
-# sampling. The tracing contract is ≤2% ns/op and +0 allocs/op at that
-# rate; results land in results/bench-trace.{txt,json} via cmd/benchjson.
-bench-trace:
-	@mkdir -p results
-	$(GO) test -bench='BenchmarkAnswerBatchSerialTelemetry|BenchmarkAnswerBatchSerialTraced|BenchmarkAnswerTelemetry$$|BenchmarkAnswerTraced' -benchmem -run=NONE ./internal/core | tee results/bench-trace.txt
-	$(GO) run ./cmd/benchjson -o results/bench-trace.json results/bench-trace.txt
 
 # slo is the burn-rate smoke gate: privload self-hosts a marketplace,
 # declares a deliberately loose buy SLO (99% under 5s), drives a short
@@ -166,14 +155,16 @@ chaos:
 # snapshot.json files), the compaction torn-snapshot regression, the
 # cache-hit ordering check over every crash prefix of a concurrent log,
 # concurrent deposits that must not journal a credit the live broker
-# refuses, the WAL and snapshot.json recovery fuzz seeds (the -run
+# refuses, a deposit made while a sale's debit is in flight, a buy whose
+# plan overflows ε′ (refused unachievable, nothing journaled), the WAL
+# and snapshot.json recovery fuzz seeds (the -run
 # pattern FuzzRecover matches both targets), the accountant
 # snapshot/restore unit tests, the pinned release table (fixed-seed single releases and
 # durable sales, values and books bit-for-bit), and the facade scenario
 # that restarts a marketplace on its WAL directory. See DESIGN.md §12
 # for the durability model these prove.
 durability:
-	$(GO) test -race -run 'TestPinnedReleases|TestCrashPoint|TestWAL|TestRecover|TestReplay|TestDurable|TestEnableDurability|TestGroupCommit|TestCompaction|TestDecodeWAL|TestConcurrentCompactVsBuy|TestConcurrentDurableBuysRecover|TestWithheldSpendSurvivesRestart|TestCacheHitNeverOutrunsItsCharge|TestDepositCreditAfterDurable|TestDepositRejectsNonFinite|TestConcurrentDepositsRecover|TestRestoreRejects|FuzzRecover|TestAccountant|TestFullScenarioIntegration' ./internal/market/ ./internal/dp/ .
+	$(GO) test -race -run 'TestPinnedReleases|TestCrashPoint|TestWAL|TestRecover|TestReplay|TestDurable|TestEnableDurability|TestGroupCommit|TestCompaction|TestDecodeWAL|TestConcurrentCompactVsBuy|TestConcurrentDurableBuysRecover|TestWithheldSpendSurvivesRestart|TestCacheHitNeverOutrunsItsCharge|TestDepositCreditAfterDurable|TestDepositRejectsNonFinite|TestConcurrentDepositsRecover|TestCrashWithSaleInFlight|TestTinyAlphaBuy|TestRestoreRejects|FuzzRecover|TestAccountant|TestFullScenarioIntegration' ./internal/market/ ./internal/dp/ .
 
 # shard runs the sharded scale-out gate under the race detector: the
 # shard-count determinism suite (answers bit-identical to the

@@ -289,7 +289,17 @@ func solveAt(acc estimator.Accuracy, snap snapshot) (optimize.Plan, error) {
 	if prob.P <= 0 {
 		return optimize.Plan{}, optimize.ErrInfeasible
 	}
-	return prob.SolveRefined()
+	plan, err := prob.SolveRefined()
+	if err != nil {
+		return optimize.Plan{}, err
+	}
+	// A plan whose charge overflows, or whose noise vanishes, can be
+	// neither released nor journaled: treat it as infeasible, so at
+	// p = 1 planFor reports the accuracy unachievable.
+	if math.IsInf(plan.EpsilonPrime, 0) || math.IsNaN(plan.EpsilonPrime) || !(plan.NoiseScale > 0) {
+		return optimize.Plan{}, optimize.ErrInfeasible
+	}
+	return plan, nil
 }
 
 // planFor solves problem (3) for the request, optionally raising the

@@ -170,6 +170,32 @@ func TestUnachievableAccuracy(t *testing.T) {
 	}
 }
 
+// TestNonFinitePlanUnachievable: at α = 1e-100 the p = 1 plan's ε′
+// overflows to +Inf, and at α = 1e-170 every plan field is NaN. Neither
+// can be released or journaled, so both fail as unachievable before the
+// accountant is charged.
+func TestNonFinitePlanUnachievable(t *testing.T) {
+	t.Parallel()
+	for _, alpha := range []float64{1e-100, 1e-170} {
+		nw, _ := buildNetwork(t, 16, 4000, 9)
+		acct, err := dp.NewAccountant(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := New(nw, WithAccountant(acct), WithSeed(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = eng.Answer(estimator.Query{L: 0, U: 50}, estimator.Accuracy{Alpha: alpha, Delta: 0.9})
+		if !errors.Is(err, ErrUnachievable) {
+			t.Fatalf("alpha %v: err = %v, want ErrUnachievable", alpha, err)
+		}
+		if acct.Spent() != 0 || acct.Queries() != 0 {
+			t.Fatalf("alpha %v: accountant charged %v over %d queries", alpha, acct.Spent(), acct.Queries())
+		}
+	}
+}
+
 func TestAccountantCharged(t *testing.T) {
 	t.Parallel()
 	nw, _ := buildNetwork(t, 4, 8000, 11)

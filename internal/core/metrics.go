@@ -5,8 +5,8 @@ import (
 )
 
 // Trace outcome tags released by the engine. All are compile-time
-// constants: the telemetrytaint analyzer forbids data-derived strings
-// in telemetry positions.
+// constants, so no sample-derived string can reach a telemetry
+// position (the privacyboundary analyzer checks those positions).
 const (
 	outcomeOK       = "ok"
 	outcomeDegraded = "degraded"
@@ -17,8 +17,8 @@ const (
 
 // Metrics is the engine's telemetry: per-query latency and outcome
 // counters, cache effectiveness, the batch estimation path taken, and
-// a ring of recent query traces. Everything recorded is released or
-// deployment-level state (latencies, outcome tags, coverage-derived
+// the phase spans of sampled queries. Everything recorded is released
+// or deployment-level state (latencies, outcome tags, coverage-derived
 // flags) — never raw estimates, sample values or query ranges. A nil
 // *Metrics records nothing, so instrumented paths need no conditionals.
 type Metrics struct {
@@ -41,7 +41,6 @@ type Metrics struct {
 	latency      *telemetry.Histogram
 	batchLatency *telemetry.Histogram
 
-	tracer *telemetry.Tracer
 	// spans is the registry's distributed span buffer: engine traces
 	// begun under a sampled context emit their phases there.
 	spans *telemetry.SpanBuf
@@ -71,8 +70,7 @@ func NewMetrics(r *telemetry.Registry, labels ...telemetry.Label) *Metrics {
 		latency:      r.Histogram("privrange_core_query_seconds", "end-to-end Answer latency", telemetry.LatencyBuckets, labels...),
 		batchLatency: r.Histogram("privrange_core_batch_seconds", "end-to-end latency of multi-query AnswerBatchSerial calls", telemetry.LatencyBuckets, labels...),
 
-		tracer: r.Tracer(),
-		spans:  r.Spans(),
+		spans: r.Spans(),
 	}
 }
 
@@ -101,7 +99,7 @@ func (m *Metrics) noteCacheLookup(hit bool) {
 }
 
 // finishQuery closes one Answer trace: tags the outcome, observes the
-// latency, bumps the outcome counter and records the trace.
+// latency, bumps the outcome counter and emits the trace's spans.
 func (m *Metrics) finishQuery(tr *telemetry.Trace, outcome string) {
 	if m == nil {
 		return
@@ -109,7 +107,7 @@ func (m *Metrics) finishQuery(tr *telemetry.Trace, outcome string) {
 	tr.End(outcome)
 	m.latency.Observe(tr.Total.Seconds())
 	m.counterFor(outcome).Inc()
-	m.tracer.Record(tr)
+	tr.Emit()
 }
 
 // finishBatch closes one multi-query AnswerBatchSerial trace. indexed
@@ -130,7 +128,7 @@ func (m *Metrics) finishBatch(tr *telemetry.Trace, outcome string, indexed bool,
 		m.batchQueries.Add(uint64(n))
 	}
 	m.counterFor(outcome).Inc()
-	m.tracer.Record(tr)
+	tr.Emit()
 }
 
 func (m *Metrics) counterFor(outcome string) *telemetry.Counter {

@@ -62,10 +62,11 @@ func (a *Accountant) publishLocked() {
 }
 
 // Spend records a query that consumed epsilon. It returns an error (and
-// records nothing) if epsilon is negative or the cap would be exceeded.
+// records nothing) if epsilon is negative, NaN or infinite, or the cap
+// would be exceeded.
 func (a *Accountant) Spend(epsilon float64) error {
-	if epsilon < 0 {
-		return fmt.Errorf("dp: cannot spend negative epsilon %v", epsilon)
+	if !(epsilon >= 0) || math.IsInf(epsilon, 1) {
+		return fmt.Errorf("dp: cannot spend epsilon %v: it must be finite and non-negative", epsilon)
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()

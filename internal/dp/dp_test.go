@@ -265,6 +265,22 @@ func TestAccountantUncapped(t *testing.T) {
 	}
 }
 
+// TestAccountantRefusesNonFinite: NaN passes a plain `< 0` test and an
+// uncapped accountant has no cap comparison to catch +Inf, so both must
+// be refused explicitly — a non-finite Σε′ cannot be journaled.
+func TestAccountantRefusesNonFinite(t *testing.T) {
+	t.Parallel()
+	var a Accountant
+	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := a.Spend(eps); err == nil {
+			t.Errorf("Spend(%v) accepted", eps)
+		}
+	}
+	if a.Spent() != 0 || a.Queries() != 0 {
+		t.Errorf("refused spends recorded: spent %v over %d queries", a.Spent(), a.Queries())
+	}
+}
+
 func TestAccountantConcurrent(t *testing.T) {
 	t.Parallel()
 	a, err := NewAccountant(1000)

@@ -150,52 +150,6 @@ func isFuncNamed(fn *types.Func, pkgPath, name string) bool {
 	return fn.Name() == name
 }
 
-// typeContains reports whether t transitively contains the named type
-// pkgPath.name, looking through pointers, slices, arrays, maps, chans
-// and struct fields (but not function signatures).
-func typeContains(t types.Type, pkgPath, name string) bool {
-	seen := make(map[types.Type]bool)
-	var walk func(t types.Type) bool
-	walk = func(t types.Type) bool {
-		if t == nil || seen[t] {
-			return false
-		}
-		seen[t] = true
-		switch t := t.(type) {
-		case *types.Named:
-			obj := t.Obj()
-			if obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name {
-				return true
-			}
-			return walk(t.Underlying())
-		case *types.Pointer:
-			return walk(t.Elem())
-		case *types.Slice:
-			return walk(t.Elem())
-		case *types.Array:
-			return walk(t.Elem())
-		case *types.Map:
-			return walk(t.Key()) || walk(t.Elem())
-		case *types.Chan:
-			return walk(t.Elem())
-		case *types.Struct:
-			for i := 0; i < t.NumFields(); i++ {
-				if walk(t.Field(i).Type()) {
-					return true
-				}
-			}
-		case *types.Tuple:
-			for i := 0; i < t.Len(); i++ {
-				if walk(t.At(i).Type()) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	return walk(t)
-}
-
 // isFloat reports whether t is a floating-point type (or an untyped
 // float constant type).
 func isFloat(t types.Type) bool {

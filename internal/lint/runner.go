@@ -128,7 +128,6 @@ func All() []*Analyzer {
 		LockOrder,
 		NoiseSource,
 		PrivacyBoundary,
-		TelemetryTaint,
 		WALDebit,
 	}
 }

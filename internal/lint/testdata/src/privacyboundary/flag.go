@@ -43,3 +43,25 @@ func leakBatchEstimate(rc estimator.RankCounting, ix *index.Index, qs []estimato
 	resp.Value = raws[0] // want `flows into .*market\.Response\.Value`
 	return nil
 }
+
+// holderLike holds raw sample sets next to a clean coverage field, like
+// the engine's snapshot.
+type holderLike struct {
+	sets     []*sampling.SampleSet
+	coverage float64
+}
+
+// sellHolderCoverage sells a field read out of a struct that carries
+// sample sets: a release refuses anything read from such a holder.
+func sellHolderCoverage(h holderLike) *market.Response {
+	return &market.Response{OK: true, Coverage: h.coverage} // want `flows into .*market\.Response\.Coverage`
+}
+
+// sellHolderCoverageRange does the same through a range over holders
+// and a local copy.
+func sellHolderCoverageRange(hs []holderLike, resp *market.Response) {
+	for _, h := range hs {
+		c := h.coverage
+		resp.Coverage = c // want `flows into .*market\.Response\.Coverage`
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"privrange/internal/market"
 	"privrange/internal/sampling"
 	"privrange/internal/stats"
+	"privrange/internal/telemetry"
 )
 
 // releasePerturbed is the sanctioned path: the raw estimate passes
@@ -34,4 +35,15 @@ func releaseFlatPerturbed(rc estimator.RankCounting, ix *index.Index, q estimato
 		return nil, err
 	}
 	return &market.Response{OK: true, Value: m.Perturb(raws[0], rng)}, nil
+}
+
+// publishHolderCoverage records the coverage a holder carries next to
+// its sample sets: telemetry refuses only the sets and what is derived
+// from them, so the gauge is legal where the sale is not.
+func publishHolderCoverage(g *telemetry.Gauge, h holderLike, hs []holderLike) {
+	g.Set(h.coverage)
+	for _, h := range hs {
+		c := h.coverage
+		g.Set(c)
+	}
 }

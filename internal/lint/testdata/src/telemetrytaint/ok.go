@@ -31,6 +31,15 @@ func publishOperationalState(r *telemetry.Registry, snap snapshotLike) {
 	r.Gauge("nodes", "deployment size").Set(float64(snap.nodes))
 }
 
+// publishCoverageRange records each snapshot's coverage through a
+// range and a local copy: still a clean sibling of the sets.
+func publishCoverageRange(g *telemetry.Gauge, snaps []snapshotLike) {
+	for _, snap := range snaps {
+		c := snap.coverage
+		g.Set(c)
+	}
+}
+
 // publishReleasedValue records the perturbed (released) estimate — the
 // sanctioned path: taint does not survive the dp mechanism.
 func publishReleasedValue(h *telemetry.Histogram, rc estimator.RankCounting, sets []*sampling.SampleSet, q estimator.Query, m dp.Mechanism, rng *stats.RNG) error {

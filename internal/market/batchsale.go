@@ -297,6 +297,9 @@ func (b *Broker) settleBatch(reqs []Request, traces []*telemetry.Trace, out []sa
 			out[i] = saleResult{err: serr}
 			continue
 		}
+		if wallets != nil {
+			wallets.resolve(reqs[i].Customer, price)
+		}
 		traces[i].Mark("fsync")
 	}
 	batchTr.Mark("fsync")

@@ -9,9 +9,9 @@ import (
 // Metrics is the marketplace's telemetry: protocol request counters by
 // operation, sale outcomes and revenue, transport connection health
 // (accept/decode failures included — previously dropped silently) and
-// a ring of purchase traces. Only commerce-level aggregates cross into
-// telemetry: prices, variances and counts are tariff outputs or public
-// metadata, never the private values being sold. A nil *Metrics
+// the spans of sampled purchases. Only commerce-level aggregates cross
+// into telemetry: prices, variances and counts are tariff outputs or
+// public metadata, never the private values being sold. A nil *Metrics
 // records nothing.
 type Metrics struct {
 	reqCatalog *telemetry.Counter
@@ -56,7 +56,6 @@ type Metrics struct {
 	walTruncated   *telemetry.Counter
 
 	buyLatency *telemetry.Histogram
-	tracer     *telemetry.Tracer
 
 	// Distributed tracing and SLOs. reg is retained so head-sampling
 	// decisions see SetTraceSampling calls made after construction.
@@ -110,7 +109,6 @@ func NewMetrics(r *telemetry.Registry, labels ...telemetry.Label) *Metrics {
 		walTruncated:   r.Counter("privrange_market_wal_truncated_bytes_total", "torn-tail bytes truncated during recovery", labels...),
 
 		buyLatency: r.Histogram("privrange_market_buy_seconds", "end-to-end Buy latency (quote, debit, answer, record)", telemetry.LatencyBuckets, labels...),
-		tracer:     r.Tracer(),
 
 		reg:   r,
 		spans: r.Spans(),
@@ -217,7 +215,7 @@ func (m *Metrics) finishBatchSpan(tr *telemetry.Trace, folded int) {
 	}
 	tr.Annotate("folded", strconv.Itoa(folded))
 	tr.End("ok")
-	m.tracer.Record(tr)
+	tr.Emit()
 }
 
 // finishBuy closes one Buy trace and records the sale outcome. price
@@ -236,7 +234,7 @@ func (m *Metrics) finishBuy(tr *telemetry.Trace, sold bool, price float64) {
 	}
 	m.buyLatency.Observe(tr.Total.Seconds())
 	m.buySLO.Observe(tr.Total, sold)
-	m.tracer.Record(tr)
+	tr.Emit()
 }
 
 // noteWALAppend counts one journaled record and its framed bytes. Only

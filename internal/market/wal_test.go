@@ -929,3 +929,74 @@ func TestWALDeadAfterCrash(t *testing.T) {
 		t.Fatalf("balance %v after refused mutations, want 50", got)
 	}
 }
+
+// TestTinyAlphaBuyKeepsWALAlive: a buy at an accuracy so fine that its
+// plan's ε′ overflows to +Inf must fail as unachievable before anything
+// is charged or journaled. A +Inf spend cannot be encoded, so
+// journaling it used to kill the log and refuse every later deposit.
+func TestTinyAlphaBuyKeepsWALAlive(t *testing.T) {
+	dir := t.TempDir()
+	b := durBroker(t, dir, 0, nil)
+	if err := b.Deposit("a", 1e300); err != nil {
+		t.Fatal(err)
+	}
+	_, err := b.Buy(Request{Op: "buy", Dataset: "ozone", Customer: "a", L: 0, U: 200, Alpha: 1e-100, Delta: 0.9})
+	if !errors.Is(err, core.ErrUnachievable) {
+		t.Fatalf("buy at alpha 1e-100 returned %v, want ErrUnachievable", err)
+	}
+	if got := b.walletStore().Balance("a"); got != 1e300 {
+		t.Fatalf("balance %v after the refused buy, want 1e300", got)
+	}
+	if err := b.Deposit("a", 1e300); err != nil {
+		t.Fatalf("deposit after the refused buy: %v", err)
+	}
+	rb := durBroker(t, dir, 0, nil) // recover as after a crash
+	defer rb.CloseDurability()
+	got := stateOf(t, rb)
+	if got.Balances["a"] != 2e300 {
+		t.Fatalf("recovered balance %v, want 2e300", got.Balances["a"])
+	}
+	if s := got.Accountants["ozone"]; s.Spent != 0 || s.Queries != 0 {
+		t.Fatalf("recovered accountant %+v, want nothing spent", s)
+	}
+	if err := b.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCrashWithSaleInFlightRecoversFinite: a sale whose debit is durable
+// but whose receipt is not is in flight. A deposit made then must count
+// the debit, because replay skips an unresolved sale's debit: had a
+// 1e308 deposit been journaled on top of a 1e308 balance, recovery
+// would replay the balance to +Inf and refuse the log.
+func TestCrashWithSaleInFlightRecoversFinite(t *testing.T) {
+	dir := t.TempDir()
+	b := durBroker(t, dir, 0, nil)
+	if err := b.Deposit("a", 1e308); err != nil {
+		t.Fatal(err)
+	}
+	// The first half of settleBatch: debit, journaled and synced.
+	w := b.walletStore()
+	if err := w.debit("a", 1e308); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.journal(WALRecord{Op: opDebit, Sale: b.nextSale(), Customer: "a", Amount: 1e308}, telemetry.SpanContext{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.journalSync(telemetry.SpanContext{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Deposit("a", 1e308); err == nil {
+		t.Fatal("a deposit that replay would overflow was accepted while a sale was in flight")
+	}
+	rb := durBroker(t, dir, 0, nil) // the crash: recover with the sale unresolved
+	defer rb.CloseDurability()
+	got := stateOf(t, rb)
+	checkBooks(t, got)
+	if got.Balances["a"] != 1e308 {
+		t.Fatalf("recovered balance %v, want 1e308 (the unresolved debit skipped)", got.Balances["a"])
+	}
+	if err := b.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+}

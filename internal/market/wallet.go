@@ -17,14 +17,39 @@ type Wallets struct {
 	// settled (their records are being journaled). The overflow check
 	// counts it, so two concurrent deposits that together overflow a
 	// balance cannot both reach the log.
-	pending map[string]pendingCredit
+	pending map[string]held
+	// inflight holds the debits of sales not yet resolved: debited, but
+	// neither refunded nor durably receipted. A refund adds such a debit
+	// back, and replay skips an unresolved sale's debit, so the overflow
+	// check counts these too.
+	inflight map[string]held
 }
 
-// pendingCredit is one customer's reserved credit: how many deposits
-// hold a reservation, and their sum.
-type pendingCredit struct {
+// held is one customer's amounts in flight: how many operations hold
+// one, and their sum.
+type held struct {
 	n   int
 	sum float64
+}
+
+// hold adds one amount to customer's entry in *m.
+func hold(m *map[string]held, customer string, amount float64) {
+	if *m == nil {
+		*m = make(map[string]held)
+	}
+	h := (*m)[customer]
+	(*m)[customer] = held{n: h.n + 1, sum: h.sum + amount}
+}
+
+// release removes one amount from customer's entry in m. The last one
+// deletes the entry, so float residue in sum never outlives the
+// operations in flight.
+func release(m map[string]held, customer string, amount float64) {
+	if h := m[customer]; h.n > 1 {
+		m[customer] = held{n: h.n - 1, sum: h.sum - amount}
+	} else {
+		delete(m, customer)
+	}
 }
 
 // checkDeposit validates a grant before anything is journaled or
@@ -53,24 +78,20 @@ func checkCredit(customer string, balance, amount float64) error {
 }
 
 // reserve checks a grant (an empty customer id, a non-positive amount,
-// or a balance it would overflow with the credit already reserved) and
-// holds its credit without applying it, for a deposit whose record is
-// about to be journaled. Every reserve must be ended by exactly one
-// settle.
+// or a balance it would overflow with the credit already reserved and
+// the debits still in flight) and holds its credit without applying it,
+// for a deposit whose record is about to be journaled. Every reserve
+// must be ended by exactly one settle.
 func (w *Wallets) reserve(customer string, amount float64) error {
 	if err := checkDeposit(customer, amount); err != nil {
 		return err
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	pc := w.pending[customer]
-	if err := checkCredit(customer, w.balances[customer]+pc.sum, amount); err != nil {
+	if err := checkCredit(customer, w.balances[customer]+w.pending[customer].sum+w.inflight[customer].sum, amount); err != nil {
 		return err
 	}
-	if w.pending == nil {
-		w.pending = make(map[string]pendingCredit)
-	}
-	w.pending[customer] = pendingCredit{n: pc.n + 1, sum: pc.sum + amount}
+	hold(&w.pending, customer, amount)
 	return nil
 }
 
@@ -79,13 +100,7 @@ func (w *Wallets) reserve(customer string, amount float64) error {
 func (w *Wallets) settle(customer string, amount float64, apply bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	// The last reservation deletes the entry, so float residue in sum
-	// never outlives the deposits in flight.
-	if pc := w.pending[customer]; pc.n > 1 {
-		w.pending[customer] = pendingCredit{n: pc.n - 1, sum: pc.sum - amount}
-	} else {
-		delete(w.pending, customer)
-	}
+	release(w.pending, customer, amount)
 	if !apply {
 		return
 	}
@@ -104,7 +119,7 @@ func (w *Wallets) Balance(customer string) float64 {
 }
 
 // debit withdraws amount, failing without side effects when the balance
-// is short.
+// is short. The debit stays in flight until a refund or resolve ends it.
 func (w *Wallets) debit(customer string, amount float64) error {
 	if amount < 0 {
 		return fmt.Errorf("market: negative debit %v", amount)
@@ -116,17 +131,27 @@ func (w *Wallets) debit(customer string, amount float64) error {
 		return fmt.Errorf("market: customer %q has %.4f, needs %.4f", customer, bal, amount)
 	}
 	w.balances[customer] = bal - amount
+	hold(&w.inflight, customer, amount)
 	return nil
 }
 
-// refund returns amount to the customer (used when an answer fails after
-// the debit).
+// resolve ends an in-flight debit whose sale's receipt is durable: the
+// money stays spent, and the debit no longer counts against deposits.
+func (w *Wallets) resolve(customer string, amount float64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	release(w.inflight, customer, amount)
+}
+
+// refund ends an in-flight debit by returning amount to the customer
+// (used when an answer fails or is withheld after the debit).
 func (w *Wallets) refund(customer string, amount float64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	release(w.inflight, customer, amount)
 	if amount <= 0 {
 		return
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.balances == nil {
 		w.balances = make(map[string]float64)
 	}

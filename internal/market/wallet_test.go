@@ -64,6 +64,43 @@ func TestWalletsBasics(t *testing.T) {
 	}
 }
 
+// TestDepositCountsInFlightDebit: a sale's debit lowers the balance
+// before its receipt is durable, and a refund (or a replay that skips
+// the unresolved debit) adds it back. A deposit that would overflow the
+// balance once that happens must be refused while the debit is in
+// flight, and accepted again once it is resolved.
+func TestDepositCountsInFlightDebit(t *testing.T) {
+	t.Parallel()
+	var w Wallets
+	if err := deposit(&w, "a", 1e308); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.debit("a", 1e308); err != nil {
+		t.Fatal(err)
+	}
+	if err := deposit(&w, "a", 1e308); err == nil {
+		t.Fatal("a deposit that a refund of the in-flight debit would overflow was accepted")
+	}
+	w.refund("a", 1e308)
+	if got := w.Balance("a"); got != 1e308 {
+		t.Fatalf("balance %v after the refund, want 1e308", got)
+	}
+	if err := deposit(&w, "a", 1e307); err != nil {
+		t.Fatalf("deposit after the refund: %v", err)
+	}
+	// A resolved debit stays spent and no longer counts.
+	if err := w.debit("a", 1e308); err != nil {
+		t.Fatal(err)
+	}
+	w.resolve("a", 1e308)
+	if err := deposit(&w, "a", 1e308); err != nil {
+		t.Fatalf("deposit after the debit resolved: %v", err)
+	}
+	if len(w.inflight) != 0 || len(w.pending) != 0 {
+		t.Fatalf("entries outlive their operations: inflight %v, pending %v", w.inflight, w.pending)
+	}
+}
+
 func TestWalletsConcurrent(t *testing.T) {
 	t.Parallel()
 	var w Wallets

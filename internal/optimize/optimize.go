@@ -311,32 +311,33 @@ func (p *Problem) scan() (alphaPrime, epsPrime float64, err error) {
 // Verify checks that the plan satisfies every constraint of problem (3)
 // for this problem instance; experiments and property tests call it to
 // guarantee the solver never emits an invalid plan. tol absorbs grid and
-// floating-point slack.
+// floating-point slack. It fails closed: every check is written so that
+// a NaN fails it.
 func (p *Problem) Verify(plan Plan, tol float64) error {
 	if err := p.validate(); err != nil {
 		return err
 	}
 	alpha, delta := p.Accuracy.Alpha, p.Accuracy.Delta
-	if plan.AlphaPrime <= 0 || plan.AlphaPrime > alpha+tol {
+	if !(plan.AlphaPrime > 0 && plan.AlphaPrime <= alpha+tol) {
 		return fmt.Errorf("optimize: plan alpha' %v violates 0 < alpha' <= alpha=%v", plan.AlphaPrime, alpha)
 	}
-	if plan.DeltaPrime < delta-tol {
+	if !(plan.DeltaPrime >= delta-tol) {
 		return fmt.Errorf("optimize: plan delta' %v below delta=%v", plan.DeltaPrime, delta)
 	}
 	// Sampling constraint: Chebyshev on the variance bound supports δ′
 	// at α′, δ′ ≤ 1 − V(p)/(α′n)².
 	t := plan.AlphaPrime * float64(p.N)
-	if maxDelta := 1 - estimator.GlobalVariance(p.P, p.K)/(t*t); plan.DeltaPrime > maxDelta+tol {
+	if maxDelta := 1 - estimator.GlobalVariance(p.P, p.K)/(t*t); !(plan.DeltaPrime <= maxDelta+tol) {
 		return fmt.Errorf("optimize: plan delta' %v above %v, the most the sampling rate %v supports at alpha' %v",
 			plan.DeltaPrime, maxDelta, p.P, plan.AlphaPrime)
 	}
-	if plan.Epsilon <= 0 {
+	if !(plan.Epsilon > 0) {
 		return fmt.Errorf("optimize: non-positive epsilon %v", plan.Epsilon)
 	}
 	// Noise constraint: Pr[|Lap| ≤ (α−α′)n] ≥ δ/δ′.
 	noise := dp.Laplace{Scale: plan.NoiseScale}
 	tau := noise.AbsCDF((alpha - plan.AlphaPrime) * float64(p.N))
-	if tau < delta/plan.DeltaPrime-tol {
+	if !(tau >= delta/plan.DeltaPrime-tol) {
 		return fmt.Errorf("optimize: noise tail %v below delta/delta' = %v", tau, delta/plan.DeltaPrime)
 	}
 	// Amplification bookkeeping: ε′ = ln(1 + p(e^ε − 1)).
@@ -344,7 +345,7 @@ func (p *Problem) Verify(plan Plan, tol float64) error {
 	if err != nil {
 		return err
 	}
-	if math.Abs(wantPrime-plan.EpsilonPrime) > tol {
+	if !(math.Abs(wantPrime-plan.EpsilonPrime) <= tol) {
 		return fmt.Errorf("optimize: epsilon' %v inconsistent with amplification %v", plan.EpsilonPrime, wantPrime)
 	}
 	return nil

@@ -325,6 +325,37 @@ func TestSolveRefinedImprovesCoarseGrid(t *testing.T) {
 	}
 }
 
+// TestVerifyRefusesNonFinitePlans: every comparison Verify makes must
+// fail on NaN, so a plan with any NaN field — the all-NaN plan an
+// underflowing (α′n)² yields — or an overflowed ε′ is refused.
+func TestVerifyRefusesNonFinitePlans(t *testing.T) {
+	t.Parallel()
+	prob := validProblem()
+	plan, err := prob.SolveRefined()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan := math.NaN()
+	mutations := map[string]func(*Plan){
+		"alpha' NaN":    func(p *Plan) { p.AlphaPrime = nan },
+		"delta' NaN":    func(p *Plan) { p.DeltaPrime = nan },
+		"epsilon NaN":   func(p *Plan) { p.Epsilon = nan },
+		"epsilon' NaN":  func(p *Plan) { p.EpsilonPrime = nan },
+		"noise NaN":     func(p *Plan) { p.NoiseScale = nan },
+		"epsilon' +Inf": func(p *Plan) { p.Epsilon, p.EpsilonPrime = math.Inf(1), math.Inf(1) },
+		"all NaN": func(p *Plan) {
+			*p = Plan{AlphaPrime: nan, DeltaPrime: nan, Epsilon: nan, EpsilonPrime: nan, Sensitivity: nan, NoiseScale: nan, Tau: nan}
+		},
+	}
+	for name, mutate := range mutations {
+		corrupt := plan
+		mutate(&corrupt)
+		if err := prob.Verify(corrupt, 1e-9); err == nil {
+			t.Errorf("%s: Verify accepted %+v", name, corrupt)
+		}
+	}
+}
+
 func TestSolveRefinedInfeasible(t *testing.T) {
 	t.Parallel()
 	prob := validProblem()

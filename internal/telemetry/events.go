@@ -10,7 +10,7 @@ const DefaultEventCapacity = 512
 
 // Event is one operational state transition — e.g. a circuit breaker
 // opening on a node, or a connection being dropped. Type and Detail
-// must be constants or aggregate-derived strings; the telemetrytaint
+// must be constants or aggregate-derived strings; the privacyboundary
 // analyzer forbids data-derived values here.
 type Event struct {
 	// Seq is the event's 1-based global sequence number, assigned by

@@ -127,15 +127,14 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// Snapshot is the JSON form of everything the registry holds: metric
-// values, the retained traces and the retained events. It is a copy —
-// safe to hold, marshal and diff.
+// Snapshot is the JSON form of the registry's metric values and
+// retained events; per-request phases live on the span stream
+// (TraceSpans). It is a copy — safe to hold, marshal and diff.
 type Snapshot struct {
 	Time       time.Time           `json:"time"`
 	Counters   []CounterSnapshot   `json:"counters"`
 	Gauges     []GaugeSnapshot     `json:"gauges"`
 	Histograms []HistogramSnapshot `json:"histograms"`
-	Traces     []TraceSnapshot     `json:"traces,omitempty"`
 	Events     []Event             `json:"events,omitempty"`
 }
 
@@ -163,22 +162,6 @@ type HistogramSnapshot struct {
 	Buckets []uint64  `json:"buckets"`
 	Count   uint64    `json:"count"`
 	Sum     float64   `json:"sum"`
-}
-
-// TraceSnapshot is one trace in wire form.
-type TraceSnapshot struct {
-	ID      uint64         `json:"id"`
-	Op      string         `json:"op"`
-	Outcome string         `json:"outcome"`
-	Start   time.Time      `json:"start"`
-	TotalNS int64          `json:"total_ns"`
-	Spans   []SpanSnapshot `json:"spans"`
-}
-
-// SpanSnapshot is one phase in wire form.
-type SpanSnapshot struct {
-	Name       string `json:"name"`
-	DurationNS int64  `json:"duration_ns"`
 }
 
 // SpanWire is one distributed span in /traces wire form. Ids are hex
@@ -291,19 +274,6 @@ func (r *Registry) Snapshot() Snapshot {
 		return snap.Histograms[i].Name+snap.Histograms[i].Labels < snap.Histograms[j].Name+snap.Histograms[j].Labels
 	})
 
-	for _, tr := range r.tracer.Recent(r.tracer.Capacity()) {
-		ts := TraceSnapshot{
-			ID:      tr.ID,
-			Op:      tr.Op,
-			Outcome: tr.Outcome,
-			Start:   tr.Start,
-			TotalNS: tr.Total.Nanoseconds(),
-		}
-		for i := 0; i < tr.NumSpans; i++ {
-			ts.Spans = append(ts.Spans, SpanSnapshot{Name: tr.Spans[i].Name, DurationNS: tr.Spans[i].Duration.Nanoseconds()})
-		}
-		snap.Traces = append(snap.Traces, ts)
-	}
 	snap.Events = r.events.Events()
 	return snap
 }

@@ -13,8 +13,8 @@ import (
 // Handler returns the ops endpoint for a registry:
 //
 //	GET /metrics        Prometheus text exposition
-//	GET /snapshot       JSON snapshot (metrics + traces + events)
-//	GET /traces         JSON distributed spans (the span ring)
+//	GET /snapshot       JSON snapshot (metrics + events)
+//	GET /traces         JSON distributed spans (the per-request view)
 //	GET /debug/pprof/*  net/http/pprof profiles
 //	GET /               plain-text index of the routes above
 //
@@ -53,7 +53,7 @@ func Handler(r *Registry) http.Handler {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "privrange ops endpoint")
 		fmt.Fprintln(w, "  /metrics       Prometheus text exposition")
-		fmt.Fprintln(w, "  /snapshot      JSON metrics + traces + events")
+		fmt.Fprintln(w, "  /snapshot      JSON metrics + events")
 		fmt.Fprintln(w, "  /traces        JSON distributed spans")
 		fmt.Fprintln(w, "  /debug/pprof/  runtime profiles")
 	})

@@ -1,17 +1,19 @@
 // Package telemetry is the broker's observability layer: a
 // zero-dependency, concurrency-safe metrics registry (counters, gauges
-// and fixed-bucket histograms with atomic hot paths), lightweight
-// per-query trace spans, an operational event log, and an opt-in ops
-// HTTP endpoint exposing everything as Prometheus text, a JSON
-// snapshot, and net/http/pprof.
+// and fixed-bucket histograms with atomic hot paths), stack-held
+// per-query phase timers whose sampled phases become distributed
+// spans, an operational event log, and an opt-in ops HTTP endpoint
+// exposing everything as Prometheus text, a JSON snapshot, the span
+// stream, and net/http/pprof.
 //
 // Privacy contract: telemetry lives strictly OUTSIDE the privacy
 // boundary. Only post-noise released values, aggregate counts, byte
 // volumes, durations and state labels may ever be recorded here —
 // never raw per-node samples and never un-noised estimates. The
-// telemetrytaint analyzer in internal/lint mechanizes that rule: any
-// value tainted by the privacyboundary taint set flowing into a
-// telemetry call is a lint error. See DESIGN.md §10.
+// privacyboundary analyzer in internal/lint mechanizes that rule: a
+// raw sample container, or any value derived from one or from an
+// un-noised estimate, flowing into a telemetry call is a lint error.
+// See DESIGN.md §10.
 //
 // Performance contract: recording is allocation-free. All metric
 // construction (names, labels, buckets) happens at registration time;
@@ -181,32 +183,29 @@ var LatencyBuckets = []float64{
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// Registry holds a process's metrics plus its tracer and event log.
-// Metric registration (Counter/Gauge/Histogram) takes a lock and may
-// allocate; it belongs in setup code. The returned handles record with
-// atomic operations only.
+// Registry holds a process's metrics plus its span stream and event
+// log. Metric registration (Counter/Gauge/Histogram) takes a lock and
+// may allocate; it belongs in setup code. The returned handles record
+// with atomic operations only.
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
-	tracer     *Tracer
 	events     *EventLog
 	spans      *SpanBuf
 	sampler    *Sampler
 	hooks      []func()
 }
 
-// NewRegistry returns an empty registry with a tracer ring of
-// DefaultTraceCapacity, an event log of DefaultEventCapacity, and a
-// span ring of DefaultSpanCapacity (sampling disabled until
-// SetTraceSampling).
+// NewRegistry returns an empty registry with an event log of
+// DefaultEventCapacity and a span ring of DefaultSpanCapacity
+// (sampling disabled until SetTraceSampling).
 func NewRegistry() *Registry {
 	r := &Registry{
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
-		tracer:     NewTracer(DefaultTraceCapacity),
 		events:     NewEventLog(DefaultEventCapacity),
 		spans:      NewSpanBuf(DefaultSpanCapacity),
 	}
@@ -274,16 +273,8 @@ func (r *Registry) runScrapeHooks() {
 	}
 }
 
-// Tracer returns the registry's shared trace ring. Nil-safe: a nil
-// registry returns a nil tracer, whose Record is a no-op.
-func (r *Registry) Tracer() *Tracer {
-	if r == nil {
-		return nil
-	}
-	return r.tracer
-}
-
-// Events returns the registry's shared event log. Nil-safe like Tracer.
+// Events returns the registry's shared event log. Nil-safe: a nil
+// registry returns a nil log, whose Append is a no-op.
 func (r *Registry) Events() *EventLog {
 	if r == nil {
 		return nil

@@ -25,7 +25,7 @@ import (
 // Privacy contract: span names must be constants and span attributes
 // carry only post-noise values, aggregate counts, durations and
 // constant tags — never raw samples, un-noised estimates or raw node
-// ids. The telemetrytaint analyzer enforces this for Annot/Annotate.
+// ids. The privacyboundary analyzer enforces this for Annot/Annotate.
 
 // DefaultSpanCapacity is the default span ring size (must be a power
 // of two).
@@ -141,13 +141,13 @@ type SpanRecord struct {
 	TraceID  uint64
 	SpanID   uint64
 	ParentID uint64
-	// Name must be a constant (telemetrytaint).
+	// Name must be a constant; /traces exports it verbatim.
 	Name string
 	// Start is UnixNano; Dur is nanoseconds.
 	Start int64
 	Dur   int64
 	// Attrs[:NAttrs] are constant-key annotations. Values must stay on
-	// the clean side of the privacy boundary (telemetrytaint checks
+	// the clean side of the privacy boundary (privacyboundary checks
 	// Annot call sites).
 	Attrs  [MaxSpanAttrs]Label
 	NAttrs int
@@ -309,47 +309,6 @@ func (b *SpanBuf) SnapshotSpans() []SpanRecord {
 		out = append(out, rec)
 	}
 	return out
-}
-
-// EmitTrace converts a completed stack Trace into distributed spans:
-// one span for the operation (parented on the trace's wire context)
-// and one child span per recorded phase, with phase start times
-// reconstructed from the cumulative phase durations. No-op unless the
-// trace was begun with a sampled context (BeginCtx).
-func (b *SpanBuf) EmitTrace(t *Trace) {
-	if b == nil || t == nil || !t.on || t.self == 0 {
-		return
-	}
-	root := SpanRecord{
-		TraceID:  t.Ctx.TraceID,
-		SpanID:   t.self,
-		ParentID: t.Ctx.SpanID,
-		Name:     t.Op,
-		Start:    t.Start.UnixNano(),
-		Dur:      t.Total.Nanoseconds(),
-		Attrs:    t.Attrs,
-		NAttrs:   t.NAttrs,
-		Links:    t.Links,
-	}
-	if t.Outcome != "" {
-		root.Annot("outcome", t.Outcome)
-	}
-	b.Emit(&root)
-	off := root.Start
-	for i := 0; i < t.NumSpans; i++ {
-		sp := SpanRecord{
-			TraceID:  t.Ctx.TraceID,
-			ParentID: t.self,
-			Name:     t.Op + "." + t.Spans[i].Name,
-			Start:    off,
-			Dur:      t.Spans[i].Duration.Nanoseconds(),
-		}
-		if ds := root.Attr("dataset"); ds != "" {
-			sp.Annot("dataset", ds)
-		}
-		b.Emit(&sp)
-		off += t.Spans[i].Duration.Nanoseconds()
-	}
 }
 
 // StartStamp returns a wall-clock stamp for a span about to be timed

@@ -186,7 +186,7 @@ func TestEmitTraceBuildsSpanTree(t *testing.T) {
 	tr.Mark("answer")
 	tr.Mark("journal")
 	tr.End("ok")
-	NewTracer(4).Record(&tr)
+	tr.Emit()
 
 	recs := b.SnapshotSpans()
 	var root *SpanRecord
@@ -234,7 +234,7 @@ func TestBeginCtxUnsampledDegrades(t *testing.T) {
 	if tr.Sampled() || tr.SpanCtx() != (SpanContext{}) {
 		t.Fatal("unsampled BeginCtx produced a sampled trace")
 	}
-	NewTracer(4).Record(&tr)
+	tr.Emit()
 	if b.Emitted() != 0 {
 		t.Fatal("unsampled trace emitted distributed spans")
 	}

@@ -34,7 +34,7 @@ func TestNilSafety(t *testing.T) {
 	var g *Gauge
 	var h *Histogram
 	var tr *Trace
-	var tt *Tracer
+	var sb *SpanBuf
 	var el *EventLog
 	var reg *Registry
 	c.Inc()
@@ -46,7 +46,8 @@ func TestNilSafety(t *testing.T) {
 	tr.Begin("x")
 	tr.Mark("y")
 	tr.End("ok")
-	tt.Record(tr)
+	tr.Emit()
+	sb.Emit(&SpanRecord{TraceID: 1})
 	el.Append("t", 0, 0, "")
 	if reg.Counter("a", "") != nil || reg.Gauge("a", "") != nil || reg.Histogram("a", "", nil) != nil {
 		t.Fatalf("nil registry must hand out nil metrics")
@@ -55,8 +56,8 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil registry exposition: %v", err)
 	}
 	_ = reg.Snapshot()
-	if reg.Tracer() != nil || reg.Events() != nil {
-		t.Fatalf("nil registry must hand out nil tracer/events")
+	if reg.Spans() != nil || reg.Events() != nil {
+		t.Fatalf("nil registry must hand out nil spans/events")
 	}
 }
 
@@ -154,32 +155,6 @@ func TestTraceSpans(t *testing.T) {
 	}
 }
 
-func TestTracerRingEviction(t *testing.T) {
-	tt := NewTracer(2)
-	for i := 0; i < 3; i++ {
-		var tr Trace
-		tr.Begin("op")
-		tr.End("ok")
-		tt.Record(&tr)
-	}
-	if tt.Total() != 3 {
-		t.Fatalf("total = %d, want 3", tt.Total())
-	}
-	recent := tt.Recent(10)
-	if len(recent) != 2 {
-		t.Fatalf("recent = %d traces, want 2", len(recent))
-	}
-	if recent[0].ID != 2 || recent[1].ID != 3 {
-		t.Fatalf("ids = %d,%d want 2,3 (oldest first)", recent[0].ID, recent[1].ID)
-	}
-	// A trace that never Began must be dropped.
-	var dead Trace
-	tt.Record(&dead)
-	if tt.Total() != 3 {
-		t.Fatalf("inactive trace was recorded")
-	}
-}
-
 func TestEventLogOrdering(t *testing.T) {
 	l := NewEventLog(2)
 	l.Append("a", 1, 10, "")
@@ -202,11 +177,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	r.Counter("c_total", "h", L("k", "v")).Add(7)
 	r.Gauge("g", "h").Set(3.5)
 	r.Histogram("h_seconds", "h", []float64{1}).Observe(0.5)
-	var tr Trace
-	tr.Begin("op")
-	tr.Mark("phase")
-	tr.End("ok")
-	r.Tracer().Record(&tr)
 	r.Events().Append("breaker_open", 4, 9, "")
 
 	snap := r.Snapshot()
@@ -219,16 +189,14 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if len(snap.Histograms) != 1 || snap.Histograms[0].Count != 1 {
 		t.Fatalf("histograms = %+v", snap.Histograms)
 	}
-	if len(snap.Traces) != 1 || snap.Traces[0].Op != "op" || len(snap.Traces[0].Spans) != 1 {
-		t.Fatalf("traces = %+v", snap.Traces)
-	}
 	if len(snap.Events) != 1 || snap.Events[0].Type != "breaker_open" {
 		t.Fatalf("events = %+v", snap.Events)
 	}
 }
 
-// TestConcurrentRecording drives every primitive from many goroutines;
-// meaningful under -race.
+// TestConcurrentRecording drives every primitive from many goroutines,
+// each trace emitting its operation and phase spans on the registry's
+// span stream while scrapes read it; meaningful under -race.
 func TestConcurrentRecording(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "h")
@@ -244,10 +212,10 @@ func TestConcurrentRecording(t *testing.T) {
 				g.Add(1)
 				h.Observe(float64(i%2) * 0.7)
 				var tr Trace
-				tr.Begin("op")
+				tr.BeginCtx("op", r.Spans().NewTrace(), r.Spans())
 				tr.Mark("phase")
 				tr.End("ok")
-				r.Tracer().Record(&tr)
+				tr.Emit()
 				r.Events().Append("e", w, uint64(i), "")
 			}
 		}(w)
@@ -259,6 +227,7 @@ func TestConcurrentRecording(t *testing.T) {
 			var sb strings.Builder
 			_ = r.WritePrometheus(&sb)
 			_ = r.Snapshot()
+			_ = r.TraceSpans()
 		}
 	}()
 	wg.Wait()
@@ -272,8 +241,9 @@ func TestConcurrentRecording(t *testing.T) {
 	if h.Count() != 8000 {
 		t.Fatalf("histogram count = %d, want 8000", h.Count())
 	}
-	if r.Tracer().Total() != 8000 || r.Events().Total() != 8000 {
-		t.Fatalf("tracer/events totals = %d/%d, want 8000", r.Tracer().Total(), r.Events().Total())
+	// One operation span and one phase span per trace.
+	if r.Spans().Emitted() != 16000 || r.Events().Total() != 8000 {
+		t.Fatalf("spans/events totals = %d/%d, want 16000/8000", r.Spans().Emitted(), r.Events().Total())
 	}
 }
 

@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // MaxSpans bounds the phases one trace can carry. The query pipeline
 // has five named phases (sample-lookup, optimize, estimate, perturb,
@@ -11,25 +8,21 @@ import (
 // a Trace is a fixed-size value so hot paths can keep it on the stack.
 const MaxSpans = 8
 
-// DefaultTraceCapacity is the default tracer ring size.
-const DefaultTraceCapacity = 256
-
-// Span is one timed phase inside a trace. Name must be a constant (the
-// telemetrytaint analyzer forbids data-derived strings here).
+// Span is one timed phase inside a trace. Name must be a constant: a
+// sampled trace exports it verbatim as a span name.
 type Span struct {
 	Name     string
 	Duration time.Duration
 }
 
-// Trace is one query's record: an operation name, an ordered list of
-// phase spans, a total duration and an outcome tag. It is designed to
-// live on the caller's stack: Begin/Mark/End mutate it in place with no
-// allocation, and Record copies it into the tracer's ring. All methods
-// are nil-safe and inert before Begin, so instrumented code paths need
-// no conditionals around tracing calls.
+// Trace is one query's phase timer: an operation name, an ordered list
+// of phase spans, a total duration and an outcome tag. It is designed
+// to live on the caller's stack: Begin/Mark/End mutate it in place with
+// no allocation, and Emit turns a sampled trace into spans on the
+// registry's span stream. All methods are nil-safe and inert before
+// Begin, so instrumented code paths need no conditionals around
+// tracing calls.
 type Trace struct {
-	// ID is assigned by Tracer.Record (0 until recorded).
-	ID uint64
 	// Op names the operation, e.g. "core.answer".
 	Op string
 	// Outcome tags how the operation ended, e.g. "ok", "error",
@@ -54,7 +47,7 @@ type Trace struct {
 	on   bool
 	last time.Time
 	// self is the operation's own span id (0 when unsampled); buf is
-	// where Record emits the distributed spans.
+	// where Emit sends the distributed spans.
 	self uint64
 	buf  *SpanBuf
 }
@@ -103,7 +96,7 @@ func (t *Trace) Active() bool { return t != nil && t.on }
 
 // BeginCtx is Begin for a distributed trace: when parent is sampled
 // and buf is non-nil, the trace joins parent's trace, allocates its
-// own span id, and Record will emit the operation and its phases as
+// own span id, and Emit will send the operation and its phases as
 // spans into buf. Otherwise it degrades to a plain Begin.
 func (t *Trace) BeginCtx(op string, parent SpanContext, buf *SpanBuf) {
 	if t == nil {
@@ -127,7 +120,7 @@ func (t *Trace) SpanCtx() SpanContext {
 	return SpanContext{TraceID: t.Ctx.TraceID, SpanID: t.self, Sampled: true}
 }
 
-// Sampled reports whether Record will emit distributed spans.
+// Sampled reports whether Emit will send distributed spans.
 func (t *Trace) Sampled() bool { return t != nil && t.self != 0 }
 
 // Link records a causal (non-parent) relation to another span; the
@@ -141,7 +134,7 @@ func (t *Trace) Link(sc SpanContext) {
 
 // Annotate attaches one constant-key attribute to the operation span.
 // Values must stay on the clean side of the privacy boundary — the
-// telemetrytaint analyzer checks both arguments. Nil-safe; extras
+// privacyboundary analyzer checks both arguments. Nil-safe; extras
 // beyond MaxSpanAttrs are dropped.
 func (t *Trace) Annotate(key, value string) {
 	if t == nil || t.NAttrs >= MaxSpanAttrs {
@@ -151,79 +144,44 @@ func (t *Trace) Annotate(key, value string) {
 	t.NAttrs++
 }
 
-// Tracer keeps the most recent traces in a fixed ring. Record copies
-// the caller's stack-held Trace under a short mutex — no allocation,
-// no retained pointers.
-type Tracer struct {
-	mu   sync.Mutex
-	ring []Trace
-	next uint64 // total traces ever recorded
-}
-
-// NewTracer returns a tracer retaining the last capacity traces
-// (minimum 1).
-func NewTracer(capacity int) *Tracer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Tracer{ring: make([]Trace, capacity)}
-}
-
-// Record copies tr into the ring and assigns its ID. Nil-safe on both
-// sides; traces that never Began are dropped. A trace begun with a
-// sampled context (BeginCtx) additionally emits its operation and
-// phase spans into the distributed span buffer, outside the ring lock.
-func (t *Tracer) Record(tr *Trace) {
-	if tr != nil {
-		tr.buf.EmitTrace(tr)
-	}
-	if t == nil || tr == nil || !tr.on {
+// Emit converts a completed trace into distributed spans on the span
+// buffer it was begun on: one span for the operation (parented on the
+// trace's wire context) and one child span per recorded phase, with
+// phase start times reconstructed from the cumulative phase durations.
+// Nil-safe; a no-op unless the trace was begun with a sampled context
+// (BeginCtx).
+func (t *Trace) Emit() {
+	if t == nil || !t.on || t.self == 0 {
 		return
 	}
-	t.mu.Lock()
-	t.next++
-	tr.ID = t.next
-	t.ring[int((t.next-1)%uint64(len(t.ring)))] = *tr
-	t.mu.Unlock()
-}
-
-// Capacity returns how many traces the ring retains.
-func (t *Tracer) Capacity() int {
-	if t == nil {
-		return 0
+	root := SpanRecord{
+		TraceID:  t.Ctx.TraceID,
+		SpanID:   t.self,
+		ParentID: t.Ctx.SpanID,
+		Name:     t.Op,
+		Start:    t.Start.UnixNano(),
+		Dur:      t.Total.Nanoseconds(),
+		Attrs:    t.Attrs,
+		NAttrs:   t.NAttrs,
+		Links:    t.Links,
 	}
-	return len(t.ring)
-}
-
-// Total returns how many traces were ever recorded (including those
-// already evicted from the ring).
-func (t *Tracer) Total() uint64 {
-	if t == nil {
-		return 0
+	if t.Outcome != "" {
+		root.Annot("outcome", t.Outcome)
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.next
-}
-
-// Recent returns up to n retained traces, oldest first. It copies, so
-// the result is safe to hold.
-func (t *Tracer) Recent(n int) []Trace {
-	if t == nil || n <= 0 {
-		return nil
+	t.buf.Emit(&root)
+	off := root.Start
+	for i := 0; i < t.NumSpans; i++ {
+		sp := SpanRecord{
+			TraceID:  t.Ctx.TraceID,
+			ParentID: t.self,
+			Name:     t.Op + "." + t.Spans[i].Name,
+			Start:    off,
+			Dur:      t.Spans[i].Duration.Nanoseconds(),
+		}
+		if ds := root.Attr("dataset"); ds != "" {
+			sp.Annot("dataset", ds)
+		}
+		t.buf.Emit(&sp)
+		off += t.Spans[i].Duration.Nanoseconds()
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	have := t.next
-	if have > uint64(len(t.ring)) {
-		have = uint64(len(t.ring))
-	}
-	if uint64(n) > have {
-		n = int(have)
-	}
-	out := make([]Trace, 0, n)
-	for i := t.next - uint64(n); i < t.next; i++ {
-		out = append(out, t.ring[int(i%uint64(len(t.ring)))])
-	}
-	return out
 }

@@ -4,7 +4,8 @@ package privrange_test
 // enabled sells answers over TCP while the operational HTTP endpoint
 // is scraped like a real monitoring stack would — Prometheus text for
 // the query latency histogram, ε-spend gauges and collection coverage,
-// and the JSON snapshot for purchase traces. Run under -race in CI.
+// and the /traces span stream for every purchase's phases. Run under
+// -race in CI.
 
 import (
 	"encoding/json"
@@ -37,6 +38,7 @@ func TestTelemetryOpsEndpointEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ops.Close()
+	mp.EnableTracing(1)
 	if err := mp.AddDataset("ozone", series.Values, privrange.Options{Nodes: 8, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -107,33 +109,51 @@ func TestTelemetryOpsEndpointEndToEnd(t *testing.T) {
 		t.Fatalf("active connections = %v, want 1", active)
 	}
 
-	// The JSON snapshot carries purchase traces with the pipeline's
-	// phase spans.
-	var snap struct {
-		Traces []struct {
-			Op    string `json:"op"`
-			Spans []struct {
-				Name string `json:"name"`
-			} `json:"spans"`
-		} `json:"traces"`
+	// Every buy is traced (1 in 1): /traces holds, per buy, one
+	// market.buy tree with exactly one engine release under it and
+	// exactly one span per pipeline phase.
+	var tw struct {
+		Spans []struct {
+			TraceID string `json:"trace_id"`
+			SpanID  string `json:"span_id"`
+			Parent  string `json:"parent_id"`
+			Name    string `json:"name"`
+		} `json:"spans"`
 	}
-	if err := json.Unmarshal([]byte(scrape("/snapshot")), &snap); err != nil {
-		t.Fatalf("snapshot: %v", err)
+	if err := json.Unmarshal([]byte(scrape("/traces")), &tw); err != nil {
+		t.Fatalf("traces: %v", err)
 	}
-	ops_, phases := map[string]bool{}, map[string]bool{}
-	for _, tr := range snap.Traces {
-		ops_[tr.Op] = true
-		for _, sp := range tr.Spans {
-			phases[sp.Name] = true
+	names := map[string]map[string]int{}
+	buySpan, answerParent := map[string]string{}, map[string]string{}
+	for _, sp := range tw.Spans {
+		if names[sp.TraceID] == nil {
+			names[sp.TraceID] = map[string]int{}
+		}
+		names[sp.TraceID][sp.Name]++
+		switch sp.Name {
+		case "market.buy":
+			buySpan[sp.TraceID] = sp.SpanID
+		case "core.answer":
+			answerParent[sp.TraceID] = sp.Parent
 		}
 	}
-	if !ops_["market.buy"] || !ops_["core.answer"] {
-		t.Fatalf("snapshot traces missing pipeline ops: %v", ops_)
-	}
-	for _, want := range []string{"price", "answer", "sample_lookup", "optimize", "estimate", "perturb"} {
-		if !phases[want] {
-			t.Fatalf("snapshot traces missing phase %q: %v", want, phases)
+	for tid := range buySpan {
+		for _, want := range []string{
+			"market.buy", "market.buy.price", "market.buy.debit", "market.buy.answer",
+			"market.buy.record", "market.buy.fsync",
+			"core.answer", "core.answer.sample_lookup", "core.answer.optimize",
+			"core.answer.estimate", "core.answer.perturb",
+		} {
+			if n := names[tid][want]; n != 1 {
+				t.Fatalf("trace %s holds %d %q spans, want 1: %v", tid, n, want, names[tid])
+			}
 		}
+		if answerParent[tid] != buySpan[tid] {
+			t.Fatalf("trace %s: core.answer parented on %q, not on market.buy %q", tid, answerParent[tid], buySpan[tid])
+		}
+	}
+	if len(buySpan) != buys {
+		t.Fatalf("%d market.buy traces on /traces, want %d", len(buySpan), buys)
 	}
 }
 
