@@ -28,10 +28,9 @@ vet:
 lint: vet privlint staticcheck
 
 # privlint is the repo's own go/analysis-style suite (internal/lint):
-# ten analyzers mechanizing the privacy-boundary (released answers and
-# telemetry alike), determinism, locking, lock-ordering,
-# goroutine-discipline, atomicity, billing, error-wrapping and
-# WAL-journaling invariants, with
+# six analyzers mechanizing the privacy-boundary (released answers and
+# telemetry alike), noise-source, budget-float, lock-ordering,
+# goroutine-discipline and error-wrapping invariants, with lockorder's
 # cross-package facts serialized between packages. See DESIGN.md §8 for
 # the catalog and §13 for the lock-order DAG. Findings are suppressed
 # only by `//lint:allow <analyzer> <reason>`; reasonless or unused

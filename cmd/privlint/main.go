@@ -1,9 +1,9 @@
-// Command privlint runs the repo's custom static-analysis suite: eleven
-// analyzers that mechanically enforce the privacy, determinism, locking,
-// lock-ordering, goroutine-discipline, atomicity, billing and
-// telemetry-taint invariants DESIGN.md §8 catalogs. It is built only on
-// the standard library, so it compiles and runs offline with nothing but
-// the Go toolchain.
+// Command privlint runs the repo's custom static-analysis suite: six
+// analyzers that mechanically enforce the privacy-boundary, noise-source,
+// budget-float, lock-ordering, goroutine-discipline and error-wrapping
+// invariants DESIGN.md §8 catalogs. It is built only on the standard
+// library, so it compiles and runs offline with nothing but the Go
+// toolchain.
 //
 // Usage:
 //

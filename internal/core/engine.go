@@ -60,8 +60,9 @@ type Source interface {
 // ErrUnachievable reports that the requested accuracy cannot be met at
 // the highest rate collection reached: the engine asked for every record,
 // but down or failing nodes kept the guaranteed rate below what the
-// accuracy needs. Wherever collection reaches p = 1 every accuracy is
-// feasible, since the sampling variance bound is then 0.
+// accuracy needs. It is also returned, before any collection, for an
+// accuracy whose plan is unusable even at p = 1 (its ε′ overflows,
+// although the sampling variance bound is then 0).
 var ErrUnachievable = errors.New("core: accuracy unachievable at the sampling rate collection reached")
 
 // DegradationPolicy selects how the engine reacts when a collection
@@ -308,7 +309,8 @@ func solveAt(acc estimator.Accuracy, snap snapshot) (optimize.Plan, error) {
 // the caller's snapshot read-locked, while the re-collection path takes
 // the writer lock, re-checks (another writer may have collected while we
 // waited), oversamples past the feasibility threshold and doubles until
-// feasible or saturated at p = 1.
+// feasible or saturated at p = 1. A request infeasible even at p = 1 is
+// refused before any collection.
 func (e *Engine) planFor(acc estimator.Accuracy, snap snapshot) (optimize.Plan, snapshot, error) {
 	if err := acc.Validate(); err != nil {
 		return optimize.Plan{}, snap, err
@@ -328,6 +330,13 @@ func (e *Engine) planFor(acc estimator.Accuracy, snap snapshot) (optimize.Plan, 
 	}
 	if !errors.Is(err, optimize.ErrInfeasible) {
 		return optimize.Plan{}, snap, err
+	}
+	// ε falls as p rises, so a plan infeasible at p = 1 is infeasible at
+	// every rate: refuse it before collecting anything.
+	full := snap
+	full.rate = 1
+	if _, ferr := solveAt(acc, full); errors.Is(ferr, optimize.ErrInfeasible) {
+		return optimize.Plan{}, snap, fmt.Errorf("%w: %w", ErrUnachievable, ferr)
 	}
 	need, rerr := estimator.RequiredProbability(acc, snap.nodes, snap.n)
 	if rerr != nil {

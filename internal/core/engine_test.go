@@ -193,6 +193,11 @@ func TestNonFinitePlanUnachievable(t *testing.T) {
 		if acct.Spent() != 0 || acct.Queries() != 0 {
 			t.Fatalf("alpha %v: accountant charged %v over %d queries", alpha, acct.Spent(), acct.Queries())
 		}
+		// Refused before collection: the rate does not ratchet to 1 and
+		// no sample crosses the network.
+		if r, c := nw.Rate(), nw.Cost(); r != 0 || c.SamplesShipped != 0 || c.Bytes != 0 {
+			t.Fatalf("alpha %v: refusal collected: rate %v, %d samples, %d bytes shipped", alpha, r, c.SamplesShipped, c.Bytes)
+		}
 	}
 }
 

@@ -767,12 +767,6 @@ func TestAddNodeJoinsDeployment(t *testing.T) {
 func TestTransmitGiveUpBillsEveryAttempt(t *testing.T) {
 	t.Parallel()
 	parts, _ := buildParts(t, 1, 50, 53)
-	// LossRate so close to 1 that every attempt drops: transmit must give
-	// up after 1 + MaxRetries attempts.
-	nw, err := New(parts, Config{Seed: 59, LossRate: 0.999999, MaxRetries: 2, FreeHeartbeatSamples: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	rep := &wire.SampleReport{NodeID: 0, N: 3, Replace: true, Samples: []sampling.Sample{
 		{Value: 1, Rank: 1}, {Value: 2, Rank: 2},
 	}}
@@ -780,26 +774,42 @@ func TestTransmitGiveUpBillsEveryAttempt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nw.transmit(0, rep); err == nil {
-		t.Fatal("expected give-up under total loss")
-	}
-	cost := nw.Cost()
-	// All 3 attempts (1 + MaxRetries) crossed the link and cost bytes...
-	if want := int64(len(data)) * 3; cost.Bytes != want {
-		t.Errorf("bytes = %d, want %d (every attempt billed)", cost.Bytes, want)
-	}
-	if cost.Retransmissions != 2 {
-		t.Errorf("retransmissions = %d, want 2", cost.Retransmissions)
-	}
-	// ...but nothing arrived end to end: no message, no shipped samples.
-	if cost.Messages != 0 {
-		t.Errorf("messages = %d, want 0 for an undelivered message", cost.Messages)
-	}
-	if cost.SamplesShipped != 0 {
-		t.Errorf("samples shipped = %d, want 0 for an undelivered report", cost.SamplesShipped)
-	}
-	if cost.PiggybackedReports != 0 {
-		t.Errorf("piggybacked = %d, want 0", cost.PiggybackedReports)
+	// Each way of giving up must bill all 1 + MaxRetries attempts: a
+	// LossRate so close to 1 that every attempt drops, and a node inside
+	// a scheduled crash window, which swallows every attempt.
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"loss", Config{Seed: 59, LossRate: 0.999999, MaxRetries: 2, FreeHeartbeatSamples: -1}},
+		{"crash", Config{Seed: 59, MaxRetries: 2, FreeHeartbeatSamples: -1,
+			Faults: map[int]FaultProfile{0: {CrashWindows: []CrashWindow{{From: 0, Until: 1}}}}}},
+	} {
+		nw, err := New(parts, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nw.transmit(0, rep); err == nil {
+			t.Fatalf("%s: expected give-up", tc.name)
+		}
+		cost := nw.Cost()
+		// All 3 attempts (1 + MaxRetries) crossed the link and cost bytes...
+		if want := int64(len(data)) * 3; cost.Bytes != want {
+			t.Errorf("%s: bytes = %d, want %d (every attempt billed)", tc.name, cost.Bytes, want)
+		}
+		if cost.Retransmissions != 2 {
+			t.Errorf("%s: retransmissions = %d, want 2", tc.name, cost.Retransmissions)
+		}
+		// ...but nothing arrived end to end: no message, no shipped samples.
+		if cost.Messages != 0 {
+			t.Errorf("%s: messages = %d, want 0 for an undelivered message", tc.name, cost.Messages)
+		}
+		if cost.SamplesShipped != 0 {
+			t.Errorf("%s: samples shipped = %d, want 0 for an undelivered report", tc.name, cost.SamplesShipped)
+		}
+		if cost.PiggybackedReports != 0 {
+			t.Errorf("%s: piggybacked = %d, want 0", tc.name, cost.PiggybackedReports)
+		}
 	}
 	// A lossless twin delivers the same message and bills it exactly once.
 	clean, err := New(parts, Config{Seed: 59, FreeHeartbeatSamples: -1})

@@ -346,8 +346,8 @@ func (nw *Network) transmit(id int, m wire.Message) (wire.Message, error) {
 	// path — delivery, retry exhaustion, corruption, crash window, or
 	// any early return added later — can skip it: every attempt crossed
 	// the link and costs bytes, including the give-up and corruption
-	// cases where nothing usable arrived. The privlint billing analyzer
-	// enforces this ordering.
+	// cases where nothing usable arrived. TestTransmitGiveUpBillsEveryAttempt
+	// and TestCorruptionBilledAndCounted pin the bill on every exit.
 	defer func() {
 		if !free {
 			billed := int64(len(data)) * int64(nw.hops(id)) * int64(attempts)

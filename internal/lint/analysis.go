@@ -51,8 +51,8 @@ type Pass struct {
 	// declared anywhere in the module to its sentinel description,
 	// keyed by message text. Analyzers use it to spot re-definitions.
 	Sentinels map[string]Sentinel
-	// Facts holds the serialized cross-package summaries (lock
-	// acquisitions, determinism hazards, atomic fields) of every package
+	// Facts holds the serialized cross-package lock summaries (lock
+	// acquisitions, ordering edges, blocking operations) of every package
 	// the runner has processed, including the target's import closure.
 	// May be nil for callers that opt out of the facts layer.
 	Facts *FactStore
@@ -86,26 +86,6 @@ type Diagnostic struct {
 // Reportf reports a violation at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...), Analyzer: p.Analyzer.Name})
-}
-
-// inspectStack walks every file in the pass, calling fn with each node
-// and the stack of its ancestors (outermost first, not including the
-// node itself). Returning false prunes the subtree.
-func (p *Pass) inspectStack(fn func(n ast.Node, stack []ast.Node) bool) {
-	var stack []ast.Node
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if n == nil {
-				stack = stack[:len(stack)-1]
-				return true
-			}
-			descend := fn(n, stack)
-			if descend {
-				stack = append(stack, n)
-			}
-			return descend
-		})
-	}
 }
 
 // calleeFunc resolves the *types.Func a call invokes, or nil for

@@ -7,7 +7,7 @@
 // A fixture lives in internal/lint/testdata/src/<name>/ and is an
 // ordinary Go package, except that the go tool never builds it
 // (testdata is invisible to ./... patterns). Fixtures may import
-// module packages — privrange/internal/wire, /market, /dp — so the
+// module packages — privrange/internal/market, /dp, /telemetry — so the
 // golden cases exercise the analyzers against the real types they
 // guard, not mocks.
 //
@@ -43,8 +43,8 @@ var (
 // setup loads the whole module once, shared across tests: fixtures
 // re-use the already-checked module packages, the sentinel table covers
 // every package the errwrap analyzer needs to know about, and the fact
-// store carries the module's serialized lock/determinism/atomic
-// summaries for the cross-package analyzers.
+// store carries the module's serialized lock summaries for lockorder's
+// cross-package rules.
 func setup() {
 	loader, initErr = lint.NewLoader(".")
 	if initErr != nil {

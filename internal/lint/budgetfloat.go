@@ -8,8 +8,9 @@ import (
 
 // budgetName matches identifiers and field names that carry privacy
 // budgets or accuracy parameters: epsilon/eps (ε, ε′), delta (δ, δ′),
-// alpha (α, α′), and the accountant's budget/spent bookkeeping.
-var budgetName = regexp.MustCompile(`(?i)(epsilon|(^|[^a-z])eps([^a-z]|$)|delta|alpha|budget|spent)`)
+// alpha (α, α′), and the accountant's budget/cap/spent bookkeeping.
+// eps and cap match only as whole words, so capacity does not.
+var budgetName = regexp.MustCompile(`(?i)(epsilon|(^|[^a-z])(eps|cap)([^a-z]|$)|delta|alpha|budget|spent)`)
 
 // BudgetFloat flags exact floating-point comparison of privacy-budget
 // quantities.

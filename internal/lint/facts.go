@@ -18,16 +18,12 @@ import (
 // so the facts_test round-trip proves cross-package summaries survive
 // the loader boundary.
 //
-// Three analyzers contribute and consume facts:
-//
-//   - lockorder: which locks each exported function may acquire
-//     (transitively), the held→acquired edges observed inside it, and
-//     which blocking operations it may perform;
-//   - detorder: whether an exported function (transitively, within the
-//     deterministic-path package set) executes an iteration-order or
-//     wall-clock hazard;
-//   - atomicguard: which struct fields the package accesses through
-//     sync/atomic address-taking calls.
+// lockorder alone contributes and consumes facts: which locks each
+// exported function may acquire (transitively), the held→acquired edges
+// observed inside it, and which blocking operations it may perform. Its
+// cross-package rules — a cycle spanning packages, a blocking
+// operation reached through another package's function while a no-block
+// lock is held — need them.
 
 // LockMode records how a lock is held: exclusively (Lock) or shared
 // (RLock).
@@ -70,11 +66,6 @@ type FuncFact struct {
 	// Blocks lists the blocking operations the function may perform,
 	// transitively.
 	Blocks []BlockOp `json:"blocks,omitempty"`
-	// DetHazards lists determinism hazards (unordered map iteration,
-	// wall-clock reads, global math/rand draws) the function executes,
-	// transitively within the deterministic-path package set. Each entry
-	// is "pos: description".
-	DetHazards []string `json:"det_hazards,omitempty"`
 }
 
 // PackageFacts is everything one package exports to its dependents.
@@ -87,10 +78,6 @@ type PackageFacts struct {
 	// observed inside unexported functions: dependents need them to close
 	// cycles that span packages.
 	Edges []LockEdge `json:"edges,omitempty"`
-	// AtomicFields lists fields ("pkgpath.Type.field") and package-level
-	// vars ("pkgpath.var") this package accesses through address-taking
-	// sync/atomic calls.
-	AtomicFields []string `json:"atomic_fields,omitempty"`
 }
 
 // FactStore holds the serialized facts of every package processed so
@@ -169,39 +156,15 @@ func (s *FactStore) Add(pkg *Package, fset *token.FileSet) error {
 
 	locks := analyzeLocks(pkg, fset, s)
 	for name, sum := range locks.summaries {
-		if !exportedFuncName(name) {
+		// Empty function facts are dropped so serialized facts stay
+		// minimal. The summary is encoded below before anything can
+		// mutate it, so the fact may share its map and slice.
+		if !exportedFuncName(name) || (len(sum.acquires) == 0 && len(sum.blocks) == 0) {
 			continue
 		}
-		ff := pf.Funcs[name]
-		if len(sum.acquires) > 0 {
-			ff.Acquires = make(map[string]LockMode, len(sum.acquires))
-			for id, mode := range sum.acquires {
-				ff.Acquires[id] = mode
-			}
-		}
-		ff.Blocks = append(ff.Blocks, sum.blocks...)
-		pf.Funcs[name] = ff
+		pf.Funcs[name] = FuncFact{Acquires: sum.acquires, Blocks: sum.blocks}
 	}
 	pf.Edges = locks.edges
-
-	det := analyzeDet(pkg, fset, s)
-	for name, hazards := range det.summaries {
-		if !exportedFuncName(name) || len(hazards) == 0 {
-			continue
-		}
-		ff := pf.Funcs[name]
-		ff.DetHazards = append([]string(nil), hazards...)
-		pf.Funcs[name] = ff
-	}
-
-	pf.AtomicFields = analyzeAtomic(pkg).atomicIDs()
-
-	// Drop empty function facts so serialized facts stay minimal.
-	for name, ff := range pf.Funcs {
-		if len(ff.Acquires) == 0 && len(ff.Blocks) == 0 && len(ff.DetHazards) == 0 {
-			delete(pf.Funcs, name)
-		}
-	}
 
 	raw, err := json.Marshal(&pf)
 	if err != nil {

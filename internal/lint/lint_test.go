@@ -15,14 +15,9 @@ func TestNoiseSource(t *testing.T)     { analysistest.Run(t, lint.NoiseSource, "
 func TestPrivacyBoundary(t *testing.T) { analysistest.Run(t, lint.PrivacyBoundary, "privacyboundary") }
 func TestBudgetFloat(t *testing.T)     { analysistest.Run(t, lint.BudgetFloat, "budgetfloat") }
 func TestErrWrap(t *testing.T)         { analysistest.Run(t, lint.ErrWrap, "errwrap") }
-func TestBilling(t *testing.T)         { analysistest.Run(t, lint.Billing, "billing") }
 func TestTelemetryTaint(t *testing.T)  { analysistest.Run(t, lint.PrivacyBoundary, "telemetrytaint") }
-func TestWALDebit(t *testing.T)        { analysistest.Run(t, lint.WALDebit, "waldebit") }
 func TestLockOrder(t *testing.T)       { analysistest.Run(t, lint.LockOrder, "lockorder") }
-func TestDetOrder(t *testing.T)        { analysistest.Run(t, lint.DetOrder, "detorder") }
-func TestDetOrderRoots(t *testing.T)   { analysistest.Run(t, lint.DetOrder, "detorderroots") }
 func TestGoroutineScope(t *testing.T)  { analysistest.Run(t, lint.GoroutineScope, "goroutinescope") }
-func TestAtomicGuard(t *testing.T)     { analysistest.Run(t, lint.AtomicGuard, "atomicguard") }
 
 // TestSuiteCleanOnModule pins the invariant catalog to the tree: the
 // full suite must report nothing on the module itself.

@@ -119,15 +119,11 @@ func Run(analyzers []*Analyzer, pkgs []*Package, fset *token.FileSet, cfg RunCon
 // All returns the full privlint suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		AtomicGuard,
-		Billing,
 		BudgetFloat,
-		DetOrder,
 		ErrWrap,
 		GoroutineScope,
 		LockOrder,
 		NoiseSource,
 		PrivacyBoundary,
-		WALDebit,
 	}
 }

@@ -73,9 +73,9 @@ func TestSuppression(t *testing.T) {
 	// miscount directives aimed at the rest of the suite). Malformed
 	// directives are hygiene findings independent of any analyzer, so
 	// the reasonless one still surfaces.
-	diags2, err := lint.Run([]*lint.Analyzer{lint.AtomicGuard}, []*lint.Package{pkg}, loader.Fset, lint.RunConfig{})
+	diags2, err := lint.Run([]*lint.Analyzer{lint.NoiseSource}, []*lint.Package{pkg}, loader.Fset, lint.RunConfig{})
 	if err != nil {
-		t.Fatalf("running atomicguard: %v", err)
+		t.Fatalf("running noisesource: %v", err)
 	}
 	for _, d := range diags2 {
 		if strings.Contains(d.Message, "unused suppression") {
@@ -83,6 +83,6 @@ func TestSuppression(t *testing.T) {
 		}
 	}
 	if len(diags2) != 1 || !strings.Contains(diags2[0].Message, "malformed suppression") {
-		t.Errorf("atomicguard-only run: got %d diags, want exactly the malformed-directive finding", len(diags2))
+		t.Errorf("noisesource-only run: got %d diags, want exactly the malformed-directive finding", len(diags2))
 	}
 }

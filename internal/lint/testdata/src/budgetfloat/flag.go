@@ -16,3 +16,12 @@ func exactNeq(delta, deltaPrime float64) bool {
 func headroom(budget, spent, price float64) bool {
 	return budget-spent > price // want `budget difference compared directly`
 }
+
+// ledger holds an accountant's cap and running spend.
+type ledger struct{ cap, spent float64 }
+
+// overCap differences the cap and the spend inside a comparison, as a
+// spend gate written against the ledger's fields would.
+func (l *ledger) overCap(epsilon float64) bool {
+	return l.cap-l.spent < epsilon // want `budget difference compared directly`
+}

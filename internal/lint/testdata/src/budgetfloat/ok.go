@@ -18,3 +18,15 @@ func tolerantGate(epsilon, epsilonPrime float64) bool {
 func rearranged(spent, epsilon, budget float64) bool {
 	return spent+epsilon > budget
 }
+
+// capacityLeft: cap matches only as a whole word, so a capacity is no
+// budget and its difference is not flagged.
+func capacityLeft(capacity, spent, epsilon float64) bool {
+	return capacity-spent > epsilon
+}
+
+// withinCap is the rearranged cap gate: the sum is compared, not the
+// difference.
+func (l *ledger) withinCap(epsilon float64) bool {
+	return l.spent+epsilon <= l.cap
+}

@@ -329,7 +329,8 @@ func TestAdmissionControlSheds(t *testing.T) {
 	broker, _ := buildBroker(t, pricing.InverseVariance{C: 1e9})
 	reg := telemetry.NewRegistry()
 	m := NewMetrics(reg)
-	srv, err := Serve(broker, "127.0.0.1:0", WithMaxInFlight(1), WithTelemetry(m))
+	broker.SetTelemetry(m)
+	srv, err := Serve(broker, "127.0.0.1:0", WithMaxInFlight(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +419,8 @@ func TestOversizedFrameGetsProtocolError(t *testing.T) {
 	broker, _ := buildBroker(t, pricing.InverseVariance{C: 1e9})
 	reg := telemetry.NewRegistry()
 	m := NewMetrics(reg)
-	srv, err := Serve(broker, "127.0.0.1:0", WithTelemetry(m))
+	broker.SetTelemetry(m)
+	srv, err := Serve(broker, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

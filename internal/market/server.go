@@ -45,9 +45,8 @@ type Server struct {
 	// eagerDeadline restores the historical re-arm-every-frame deadline
 	// behaviour; only benchmarks set it (see BenchmarkServerDeadline).
 	eagerDeadline bool
-	// metrics counts connections, bytes and transport failures. Defaults
-	// to the broker's attached metrics; WithTelemetry overrides. Nil
-	// records nothing.
+	// metrics counts connections, bytes and transport failures: the
+	// metrics the broker carries when Serve starts. Nil records nothing.
 	metrics *Metrics
 
 	mu     sync.Mutex
@@ -83,13 +82,6 @@ type ServerOption func(*Server)
 // of dead clients pinning handler goroutines.
 func WithIdleTimeout(d time.Duration) ServerOption {
 	return func(s *Server) { s.idle = d }
-}
-
-// WithTelemetry attaches transport metrics to the server (connection
-// gauge, accept/decode failure counters, byte counters). When omitted
-// the server shares whatever metrics the broker carries.
-func WithTelemetry(m *Metrics) ServerOption {
-	return func(s *Server) { s.metrics = m }
 }
 
 // WithPipelineDepth bounds how many pipelined requests one connection

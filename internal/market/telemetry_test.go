@@ -97,7 +97,8 @@ func TestServerSurvivesMalformedFrame(t *testing.T) {
 	broker, _ := buildBroker(t, pricing.InverseVariance{C: 1e9})
 	reg := telemetry.NewRegistry()
 	m := NewMetrics(reg)
-	srv, err := Serve(broker, "127.0.0.1:0", WithTelemetry(m))
+	broker.SetTelemetry(m)
+	srv, err := Serve(broker, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,9 +18,8 @@ import (
 // the process start time purely for cross-process distinctness), and
 // sampling is a modular counter — so tracing can be reasoned about,
 // replayed, and — critically — never perturbs the engine's seeded noise
-// stream. All wall-clock reads live inside this package, which the
-// detorder analyzer excludes from release-path hazard propagation:
-// release code calls these helpers, never time.Now.
+// stream. All wall-clock reads live inside this package: release code
+// calls these helpers, never time.Now.
 //
 // Privacy contract: span names must be constants and span attributes
 // carry only post-noise values, aggregate counts, durations and
@@ -313,8 +312,8 @@ func (b *SpanBuf) SnapshotSpans() []SpanRecord {
 
 // StartStamp returns a wall-clock stamp for a span about to be timed
 // under sc, or 0 when sc is unsampled — so callers outside this
-// package never read the clock themselves (detorder) and unsampled
-// requests skip the read entirely.
+// package never read the clock themselves and unsampled requests skip
+// the read entirely.
 func StartStamp(sc SpanContext) int64 {
 	if !sc.Sampled || sc.TraceID == 0 {
 		return 0
