@@ -89,7 +89,7 @@ bench:
 # iteration — the CI guard that keeps the bench suite building and
 # runnable without paying for stable timings.
 bench-smoke:
-	$(GO) test -bench=. -benchmem -benchtime=1x -run=NONE ./internal/estimator ./internal/core ./internal/wire ./internal/market ./internal/optimize
+	$(GO) test -bench=. -benchmem -benchtime=1x -run=NONE ./internal/estimator ./internal/core ./internal/wire ./internal/market ./internal/optimize ./internal/sampling ./internal/iot
 
 # load is the serving-path gate: cmd/privload self-hosts a marketplace
 # and drives the same open-loop workload through the serial baseline
@@ -129,11 +129,14 @@ examples:
 
 # FuzzRecover, FuzzRecoverSnapshot and FuzzHandle execute fsync (every
 # accepted log or snapshot is recovered a second time; every buy and
-# deposit is journaled), so their minimization budget is capped: the 60s
-# default would spend the whole fuzz time shrinking one input. -fuzz
-# must match exactly one target, hence the anchored patterns.
+# deposit is journaled), and one FuzzNodeStore input can replay a
+# thousand inserts against its sorted-slice oracle, so their
+# minimization budget is capped: the 60s default would spend the whole
+# fuzz time shrinking one input. -fuzz must match exactly one target,
+# hence the anchored patterns.
 fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/wire/
+	$(GO) test -fuzz=FuzzNodeStore -fuzztime=30s -fuzzminimizetime=5s ./internal/sampling/
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=30s ./internal/dataset/
 	$(GO) test -fuzz=FuzzParseSpanContext -fuzztime=30s ./internal/telemetry/
 	$(GO) test -fuzz='^FuzzRecover$$' -fuzztime=30s -fuzzminimizetime=5s ./internal/market/

@@ -78,8 +78,8 @@ func Build(sets []*sampling.SampleSet) (*Index, error) {
 				return nil, fmt.Errorf("index: node %d sample %d rank %d invalid (prev %d, n=%d)",
 					i, j, s.Rank, prevRank, set.N)
 			}
-			if s.Value < prevValue {
-				return nil, fmt.Errorf("index: node %d sample %d value %v decreases (prev %v)",
+			if !(s.Value >= prevValue) {
+				return nil, fmt.Errorf("index: node %d sample %d value %v out of order (prev %v)",
 					i, j, s.Value, prevValue)
 			}
 			ix.values = append(ix.values, s.Value)

@@ -106,6 +106,12 @@ func TestBuildRejectsCorruptSets(t *testing.T) {
 			{Value: 1, Rank: 2}, {Value: 2, Rank: 2}}}},
 		"values decreasing": {{N: 5, Samples: []sampling.Sample{
 			{Value: 2, Rank: 1}, {Value: 1, Rank: 2}}}},
+		"NaN first": {{N: 5, Samples: []sampling.Sample{
+			{Value: math.NaN(), Rank: 1}, {Value: 2, Rank: 2}}}},
+		"NaN middle": {{N: 5, Samples: []sampling.Sample{
+			{Value: 1, Rank: 1}, {Value: math.NaN(), Rank: 2}, {Value: 3, Rank: 3}}}},
+		"NaN last": {{N: 5, Samples: []sampling.Sample{
+			{Value: 1, Rank: 1}, {Value: math.NaN(), Rank: 2}}}},
 		"n outside int32": {{N: math.MaxInt32 + 1}},
 		"negative n":      {{N: -1}},
 	}

@@ -720,6 +720,13 @@ func TestAddNodeJoinsDeployment(t *testing.T) {
 	if _, err := nw.AddNode(nil); err == nil {
 		t.Error("joining without data should fail")
 	}
+	// A NaN reading has no rank: the join is refused and adds no node.
+	if _, err := nw.AddNode([]float64{1, math.NaN(), 3}); err == nil {
+		t.Error("joining with a NaN reading should fail")
+	}
+	if nw.NumNodes() != 3 {
+		t.Fatalf("refused joins left %d nodes, want 3", nw.NumNodes())
+	}
 	newData := make([]float64, 800)
 	for i := range newData {
 		newData[i] = float64(50 + i%40)

@@ -502,10 +502,14 @@ func (nw *Network) collectNode(node *Node, rate float64) error {
 // AddNode joins a new sensor node carrying the given initial readings
 // (dynamic membership). The node is collected on the next EnsureRate at
 // whatever rate the deployment runs; until then the network-wide rate
-// guarantee reports 0 because the base station lacks its sample.
+// guarantee reports 0 because the base station lacks its sample. Like
+// Ingest, it refuses readings holding a NaN, and then adds no node.
 func (nw *Network) AddNode(values []float64) (int, error) {
 	if len(values) == 0 {
 		return 0, fmt.Errorf("iot: a joining node needs initial readings")
+	}
+	if hasNaN(values) {
+		return 0, fmt.Errorf("iot: a joining node holds a NaN reading")
 	}
 	nw.mu.Lock()
 	defer nw.mu.Unlock()

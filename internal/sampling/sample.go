@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"privrange/internal/stats"
@@ -29,10 +30,11 @@ type SampleSet struct {
 }
 
 // Validate checks structural invariants: ranks strictly increasing within
-// [1, N] and values non-decreasing in rank order.
+// [1, N] and values non-decreasing in rank order. A NaN value has no
+// place in that order, so it fails.
 func (s *SampleSet) Validate() error {
 	prevRank := 0
-	prevValue := 0.0
+	prevValue := math.Inf(-1)
 	for i, smp := range s.Samples {
 		if smp.Rank <= prevRank {
 			return fmt.Errorf("sampling: sample %d rank %d not increasing (prev %d)", i, smp.Rank, prevRank)
@@ -40,8 +42,8 @@ func (s *SampleSet) Validate() error {
 		if smp.Rank > s.N {
 			return fmt.Errorf("sampling: sample %d rank %d exceeds dataset size %d", i, smp.Rank, s.N)
 		}
-		if i > 0 && smp.Value < prevValue {
-			return fmt.Errorf("sampling: sample %d value %v decreases (prev %v)", i, smp.Value, prevValue)
+		if !(smp.Value >= prevValue) {
+			return fmt.Errorf("sampling: sample %d value %v out of order (prev %v)", i, smp.Value, prevValue)
 		}
 		prevRank = smp.Rank
 		prevValue = smp.Value

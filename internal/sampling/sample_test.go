@@ -114,6 +114,9 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		{name: "rank zero", set: SampleSet{N: 5, Samples: []Sample{{Value: 1, Rank: 0}}}},
 		{name: "rank beyond n", set: SampleSet{N: 2, Samples: []Sample{{Value: 1, Rank: 3}}}},
 		{name: "values decrease", set: SampleSet{N: 5, Samples: []Sample{{Value: 5, Rank: 1}, {Value: 4, Rank: 2}}}},
+		{name: "NaN first", set: SampleSet{N: 5, Samples: []Sample{{Value: math.NaN(), Rank: 1}, {Value: 2, Rank: 2}}}},
+		{name: "NaN middle", set: SampleSet{N: 5, Samples: []Sample{{Value: 1, Rank: 1}, {Value: math.NaN(), Rank: 2}, {Value: 3, Rank: 3}}}},
+		{name: "NaN last", set: SampleSet{N: 5, Samples: []Sample{{Value: 1, Rank: 1}, {Value: math.NaN(), Rank: 2}}}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -124,7 +127,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 			}
 		})
 	}
-	good := SampleSet{N: 5, Samples: []Sample{{Value: 1, Rank: 1}, {Value: 1, Rank: 3}, {Value: 7, Rank: 5}}}
+	good := SampleSet{N: 5, Samples: []Sample{{Value: math.Inf(-1), Rank: 1}, {Value: 1, Rank: 2}, {Value: 1, Rank: 3}, {Value: 7, Rank: 5}}}
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid set rejected: %v", err)
 	}

@@ -7,11 +7,11 @@ import (
 	"privrange/internal/stats"
 )
 
-// NodeStore is the node-side data store: an order-statistic tree holding
-// the node's full local dataset D_i, plus the current sample as ascending
-// ranks with their values, so an existing Bernoulli sample can grow to a
-// higher rate without discarding the samples already shipped (the
-// paper's "collect more samples" path).
+// NodeStore is the node-side data store: run-length leaves holding the
+// node's full local dataset D_i in sorted order, plus the current
+// sample as ascending ranks with their values, so an existing Bernoulli
+// sample can grow to a higher rate without discarding the samples
+// already shipped (the paper's "collect more samples" path).
 //
 // Top-up rule: a sample drawn at rate p0 is upgraded to rate p1 > p0 by
 // including each previously unsampled instance independently with
@@ -21,11 +21,11 @@ import (
 // forces a fresh draw.
 //
 // Both draws step over geometric gaps between picks (THEORY §6) and
-// fetch the picked values in one walk of the tree, so a draw costs
-// O(samples) random variates and visits only tree nodes that hold a
+// fetch the picked values in one forward pass over the leaves, so a draw
+// costs O(samples) random variates and reads only leaves that hold a
 // picked rank.
 type NodeStore struct {
-	tree  *OSTree
+	tree  osTree
 	rng   *stats.RNG
 	id    int
 	rate  float64
@@ -37,12 +37,15 @@ type NodeStore struct {
 	sample []Sample
 }
 
-// NewNodeStore returns an empty store for node id. Sampling and tree
-// shape are deterministic given seed.
+// NewNodeStore returns an empty store for node id. Sampling is
+// deterministic given seed.
 func NewNodeStore(id int, seed int64) *NodeStore {
 	root := stats.NewRNG(seed)
+	// Every node's sampling stream, and every pinned release built on
+	// it, starts after the seed's first variate: skipping this draw
+	// would move them all.
+	root.Int63()
 	return &NodeStore{
-		tree:  NewOSTree(root.Int63()),
 		rng:   root.Child(int64(id)),
 		id:    id,
 		dirty: true,
@@ -53,16 +56,17 @@ func NewNodeStore(id int, seed int64) *NodeStore {
 func (n *NodeStore) ID() int { return n.id }
 
 // Len returns n_i, the size of the local dataset.
-func (n *NodeStore) Len() int { return n.tree.Len() }
+func (n *NodeStore) Len() int { return n.tree.size }
 
 // Rate returns the Bernoulli rate of the most recent draw (0 before any
 // draw).
 func (n *NodeStore) Rate() float64 { return n.rate }
 
 // Add inserts one reading into the local dataset. It invalidates any
-// outstanding sample, since ranks shift.
+// outstanding sample, since ranks shift. v must not be NaN: a NaN has no
+// rank, and iot refuses NaN readings before any node stores them.
 func (n *NodeStore) Add(v float64) {
-	n.tree.Insert(v)
+	n.tree.insert(v)
 	n.dirty = true
 }
 
@@ -74,9 +78,13 @@ func (n *NodeStore) AddAll(vs []float64) {
 }
 
 // CountRange returns the exact local range count γ(l, u, i) — ground
-// truth for tests and experiment error measurement.
+// truth for tests and experiment error measurement. It returns an error
+// when l > u.
 func (n *NodeStore) CountRange(l, u float64) (int, error) {
-	return n.tree.CountRange(l, u)
+	if l > u {
+		return 0, fmt.Errorf("sampling: range [%v, %v] has l > u", l, u)
+	}
+	return n.tree.countRange(l, u), nil
 }
 
 // SampleAt returns a rank-annotated Bernoulli sample of the current local
@@ -96,11 +104,11 @@ func (n *NodeStore) SampleAt(p float64) (*SampleSet, error) {
 		n.topUp(p)
 	}
 	n.rate = p
-	return &SampleSet{N: n.tree.Len(), Samples: n.sample}, nil
+	return &SampleSet{N: n.tree.size, Samples: n.sample}, nil
 }
 
 func (n *NodeStore) fullDraw(p float64) {
-	n.sample = bernoulliRanks(n.tree.Len(), p, n.rng)
+	n.sample = bernoulliRanks(n.tree.size, p, n.rng)
 	n.tree.selectInto(n.sample)
 	n.dirty = false
 	n.gen++
@@ -117,7 +125,7 @@ func (n *NodeStore) Generation() int { return n.gen }
 // each pick back to its rank and merges it into the sample.
 func (n *NodeStore) topUp(p float64) {
 	q := (p - n.rate) / (1 - n.rate)
-	add := bernoulliRanks(n.tree.Len()-len(n.sample), q, n.rng)
+	add := bernoulliRanks(n.tree.size-len(n.sample), q, n.rng)
 	// The u-th unsampled rank is u plus the number of sampled ranks
 	// below it; both sequences ascend, so one pass maps them all.
 	j := 0

@@ -1,8 +1,14 @@
 package sampling
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"testing"
+
+	"privrange/internal/dataset"
+	"privrange/internal/stats"
 )
 
 func TestNodeStoreBasic(t *testing.T) {
@@ -17,6 +23,9 @@ func TestNodeStoreBasic(t *testing.T) {
 	}
 	if c, err := ns.CountRange(2, 5); err != nil || c != 3 {
 		t.Errorf("CountRange = %d, %v; want 3", c, err)
+	}
+	if _, err := ns.CountRange(5, 2); err == nil {
+		t.Error("CountRange with l > u should fail")
 	}
 	set, err := ns.SampleAt(1)
 	if err != nil {
@@ -52,20 +61,23 @@ func TestNodeStoreRejectsBadRate(t *testing.T) {
 // many stores with a fixed seed: after a full draw at p and after a
 // top-up to p1, every rank's inclusion frequency is within 5 standard
 // errors of p (p1), so an off-by-one that never picks rank 1 or rank n
-// fails; every value equals Select(rank); a top-up keeps every rank of
-// the draw it extends.
+// fails; every value equals the sorted data at its rank; a top-up keeps
+// every rank of the draw it extends.
 func TestNodeStoreRankByRank(t *testing.T) {
 	t.Parallel()
 	const size, stores = 50, 4000
+	data := make([]float64, size)
+	for i := range data {
+		data[i] = float64((i * 7) % 9) // duplicates, out of order
+	}
+	sorted := newOracle(data).sorted
 	for _, rates := range [][2]float64{{0.2, 0.5}, {0.03, 0.9}} {
 		p, p1 := rates[0], rates[1]
 		drawn := make([]int, size+1)
 		topped := make([]int, size+1)
 		for k := 0; k < stores; k++ {
 			ns := NewNodeStore(k, int64(1000+k))
-			for i := 0; i < size; i++ {
-				ns.Add(float64((i * 7) % 9)) // duplicates, out of order
-			}
+			ns.AddAll(data)
 			low, err := ns.SampleAt(p)
 			if err != nil {
 				t.Fatal(err)
@@ -80,8 +92,8 @@ func TestNodeStoreRankByRank(t *testing.T) {
 					t.Fatalf("store %d: set over N=%d invalid: %v", k, set.N, err)
 				}
 				for _, s := range set.Samples {
-					if want, _ := ns.tree.Select(s.Rank); s.Value != want {
-						t.Fatalf("store %d: rank %d holds %v, Select gives %v", k, s.Rank, s.Value, want)
+					if want := sorted[s.Rank-1]; s.Value != want {
+						t.Fatalf("store %d: rank %d holds %v, want %v", k, s.Rank, s.Value, want)
 					}
 				}
 			}
@@ -287,4 +299,234 @@ func TestCachedSortedSeesNewData(t *testing.T) {
 	if err := set.Validate(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// benchRate and benchSizes are of the order of perfbench ingest-batch's
+// collection rate and of a node's dataset early, midway and late in
+// its run.
+const benchRate = 0.0286
+
+var benchSizes = []int{1100, 6500, 12800}
+
+// benchReadings returns n readings of one kind: "ozone" is the
+// synthetic CityPulse ozone series, integer-valued with about a hundred
+// distinct values; "continuous" is uniform on [0, 200), all distinct.
+func benchReadings(b *testing.B, kind string, n int) []float64 {
+	b.Helper()
+	if kind == "continuous" {
+		rng := stats.NewRNG(5)
+		vs := make([]float64, n)
+		for i := range vs {
+			vs[i] = 200 * rng.Float64()
+		}
+		return vs
+	}
+	s, err := dataset.GenerateSeries(dataset.Ozone, dataset.GenerateConfig{Seed: 5, Records: n})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s.Values
+}
+
+// benchStores runs fn once per data kind and size n, with n readings
+// of that kind in base and n/10 more in extra.
+func benchStores(b *testing.B, fn func(b *testing.B, base, extra []float64)) {
+	for _, kind := range []string{"ozone", "continuous"} {
+		for _, n := range benchSizes {
+			b.Run(fmt.Sprintf("%s/n=%d", kind, n), func(b *testing.B) {
+				data := benchReadings(b, kind, n+n/10)
+				fn(b, data[:n], data[n:])
+			})
+		}
+	}
+}
+
+func filledStore(vs []float64) *NodeStore {
+	ns := NewNodeStore(0, 1)
+	ns.AddAll(vs)
+	return ns
+}
+
+// BenchmarkNodeStoreInsert times one Add into a store of about n
+// readings: after every n/10 inserts the store is rebuilt at n, off the
+// clock.
+func BenchmarkNodeStoreInsert(b *testing.B) {
+	benchStores(b, func(b *testing.B, base, extra []float64) {
+		ns := filledStore(base)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := i % len(extra)
+			if k == 0 && i > 0 {
+				b.StopTimer()
+				ns = filledStore(base)
+				b.StartTimer()
+			}
+			ns.Add(extra[k])
+		}
+	})
+}
+
+// BenchmarkNodeStoreDraw times one full draw at benchRate. Each
+// iteration asks for a rate a hair below the last, which forces a full
+// draw without touching the data.
+func BenchmarkNodeStoreDraw(b *testing.B) {
+	benchStores(b, func(b *testing.B, base, _ []float64) {
+		ns := filledStore(base)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := ns.SampleAt(benchRate * (1 - float64(i)*1e-12)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkNodeStoreCountRange times one exact range count, over ranges
+// whose bounds are readings of the store.
+func BenchmarkNodeStoreCountRange(b *testing.B) {
+	benchStores(b, func(b *testing.B, base, _ []float64) {
+		ns := filledStore(base)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			l, u := base[(2*i)%len(base)], base[(2*i+1)%len(base)]
+			if l > u {
+				l, u = u, l
+			}
+			if _, err := ns.CountRange(l, u); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// FuzzNodeStore decodes its input into a sequence of Add, AddAll,
+// SampleAt and CountRange calls on one store: integer-heavy, ±0,
+// arbitrary non-NaN and ramped readings; full draws, top-ups and
+// lowered rates. After every step it checks the store against a sorted
+// slice of the readings added, in which a reading equal to a stored one
+// takes that one's bits, as the store keeps the first representative:
+// Len, strictly ascending ranks, every sampled value bit for bit at its
+// rank, a top-up keeping every rank it extends, and CountRange.
+func FuzzNodeStore(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 20, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 30, 31, 3, 128, 3, 255, 3, 64, 4, 5, 9})
+	f.Add([]byte{2, 201, 7, 3, 7, 3, 100, 3, 50, 2, 150, 5, 3, 60, 4, 0, 20, 4, 9, 9})
+	f.Add([]byte{0, 0xf0, 0, 4, 3, 255, 4, 0xf0, 4, 0, 0xff, 0x3f, 0xf0, 0, 0, 0, 0, 0, 1, 3, 40})
+	const maxReadings = 1024
+	f.Fuzz(func(t *testing.T, in []byte) {
+		next := func() byte {
+			if len(in) == 0 {
+				return 0
+			}
+			b := in[0]
+			in = in[1:]
+			return b
+		}
+		// value decodes one reading: a small integer, −0, or any
+		// non-NaN float64 from the next eight bytes.
+		value := func() float64 {
+			switch b := next(); {
+			case b < 0xf0:
+				return float64(b%24) - 4
+			case b == 0xf0:
+				return math.Copysign(0, -1)
+			default:
+				var bits uint64
+				for i := 0; i < 8; i++ {
+					bits = bits<<8 | uint64(next())
+				}
+				if v := math.Float64frombits(bits); !math.IsNaN(v) {
+					return v
+				}
+				return float64(b)
+			}
+		}
+		ns := NewNodeStore(1, 7)
+		var sorted []float64
+		// batch returns up to k readings from gen, as many as still fit,
+		// and records them in sorted.
+		batch := func(k int, gen func(i int) float64) []float64 {
+			vs := make([]float64, min(k, maxReadings-len(sorted)))
+			for i := range vs {
+				v := gen(i)
+				vs[i] = v
+				j := sort.SearchFloat64s(sorted, v)
+				if j < len(sorted) && sorted[j] == v {
+					v = sorted[j]
+				}
+				sorted = slices.Insert(sorted, j, v)
+			}
+			return vs
+		}
+		var last *SampleSet // the last sample, while the data is unchanged
+		for len(in) > 0 {
+			switch next() % 5 {
+			case 0:
+				for _, v := range batch(1, func(int) float64 { return value() }) {
+					ns.Add(v)
+				}
+				last = nil
+			case 1:
+				ns.AddAll(batch(int(next()%32), func(int) float64 { return value() }))
+				last = nil
+			case 2:
+				k := int(next())
+				base, step := value(), 0.37
+				if k%2 == 1 {
+					step = -step
+				}
+				ns.AddAll(batch(4*k, func(i int) float64 { return base + float64(i)*step }))
+				last = nil
+			case 3:
+				p, rate := float64(next())/255, ns.Rate()
+				set, err := ns.SampleAt(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if set.N != len(sorted) {
+					t.Fatalf("sample over N = %d, want %d", set.N, len(sorted))
+				}
+				if err := set.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				for _, s := range set.Samples {
+					if want := sorted[s.Rank-1]; math.Float64bits(s.Value) != math.Float64bits(want) {
+						t.Fatalf("rank %d holds %v, want %v", s.Rank, s.Value, want)
+					}
+				}
+				if last != nil && p >= rate {
+					// Both samples ascend by rank, so one pass finds any
+					// rank the top-up dropped.
+					j := 0
+					for _, s := range last.Samples {
+						for j < len(set.Samples) && set.Samples[j].Rank < s.Rank {
+							j++
+						}
+						if j == len(set.Samples) || set.Samples[j].Rank != s.Rank {
+							t.Fatalf("top-up %v→%v dropped rank %d", rate, p, s.Rank)
+						}
+					}
+				}
+				last = set
+			case 4:
+				l, u := value(), value()
+				got, err := ns.CountRange(l, u)
+				if l > u {
+					if err == nil {
+						t.Fatalf("CountRange(%v, %v) accepted l > u", l, u)
+					}
+					break
+				}
+				if want := (&oracle{sorted: sorted}).countRange(l, u); err != nil || got != want {
+					t.Fatalf("CountRange(%v, %v) = %d, %v; want %d", l, u, got, err, want)
+				}
+			}
+			if ns.Len() != len(sorted) {
+				t.Fatalf("Len = %d after %d readings", ns.Len(), len(sorted))
+			}
+		}
+	})
 }
