@@ -85,11 +85,13 @@ bench:
 	$(GO) test -bench=. -benchmem -run=NONE ./internal/estimator ./internal/core ./internal/wire ./internal/optimize | tee results/bench-index.txt
 	$(GO) test -bench='BenchmarkServer' -benchmem -run=NONE ./internal/market | tee results/bench-serving.txt
 
-# bench-smoke compiles every benchmark and runs each for exactly one
-# iteration — the CI guard that keeps the bench suite building and
-# runnable without paying for stable timings.
+# bench-smoke compiles every benchmark in every package, the root
+# package's figure, collection-round and marketplace benchmarks
+# included, and runs each for exactly one iteration — the CI guard that
+# keeps the bench suite building and runnable without paying for stable
+# timings.
 bench-smoke:
-	$(GO) test -bench=. -benchmem -benchtime=1x -run=NONE ./internal/estimator ./internal/core ./internal/wire ./internal/market ./internal/optimize ./internal/sampling ./internal/iot
+	$(GO) test -bench=. -benchmem -benchtime=1x -run=NONE ./...
 
 # load is the serving-path gate: cmd/privload self-hosts a marketplace
 # and drives the same open-loop workload through the serial baseline

@@ -6,7 +6,7 @@
 // The index is built once per collection round (the base station
 // rebuilds it whenever its sample-state version moves) and shared
 // immutably through snapshots: queries never pay the build cost, and
-// because the layout is append-only after Build, concurrent readers
+// because nothing writes the layout after Build, concurrent readers
 // need no synchronization. The SampleSet representation remains the
 // node-side/wire format and the correctness oracle — the estimators'
 // flat kernels are required (and property-tested) to return
@@ -62,15 +62,19 @@ func Build(sets []*sampling.SampleSet) (*Index, error) {
 		return nil, fmt.Errorf("index: %d samples exceed int32 offsets", total)
 	}
 	ix := &Index{
-		values: make([]float64, 0, total),
-		ranks:  make([]int32, 0, total),
+		values: make([]float64, total),
+		ranks:  make([]int32, total),
 		start:  make([]int32, len(sets)+1),
 		n:      make([]int32, len(sets)),
 	}
+	end := 0
 	for i, set := range sets {
 		if set.N < 0 || set.N > math.MaxInt32 {
 			return nil, fmt.Errorf("index: node %d dataset size %d outside int32", i, set.N)
 		}
+		lo := end
+		end += len(set.Samples)
+		values, ranks := ix.values[lo:end], ix.ranks[lo:end]
 		prevRank := 0
 		prevValue := math.Inf(-1)
 		for j, s := range set.Samples {
@@ -82,12 +86,12 @@ func Build(sets []*sampling.SampleSet) (*Index, error) {
 				return nil, fmt.Errorf("index: node %d sample %d value %v out of order (prev %v)",
 					i, j, s.Value, prevValue)
 			}
-			ix.values = append(ix.values, s.Value)
-			ix.ranks = append(ix.ranks, int32(s.Rank))
+			values[j] = s.Value
+			ranks[j] = int32(s.Rank)
 			prevRank = s.Rank
 			prevValue = s.Value
 		}
-		ix.start[i+1] = int32(len(ix.values))
+		ix.start[i+1] = int32(end)
 		ix.n[i] = int32(set.N)
 		ix.totalN += set.N
 	}

@@ -832,6 +832,121 @@ func TestTransmitGiveUpBillsEveryAttempt(t *testing.T) {
 	}
 }
 
+// TestReusedEncodeBufferNeverLeaks drives the network's one encode
+// buffer through a clean node, a node whose link corrupts half its
+// attempts, and heartbeats carrying piggybacked samples, over two
+// collection rounds. No delivered message may alias the buffer: the
+// sets the base station stored after round 1 read the same after the
+// buffer is scribbled over and round 2 re-encodes into it. And the bill
+// stays exact: Bytes is the sum over messages of encoded size × hops ×
+// attempts.
+func TestReusedEncodeBufferNeverLeaks(t *testing.T) {
+	t.Parallel()
+	parts, _ := buildParts(t, 2, 800, 71)
+	// A chain (fanout 1) puts node 1, the corrupting one, two hops out.
+	nw, err := New(parts, Config{Seed: 73, Topology: Tree, TreeFanout: 1, MaxRetries: 30,
+		FreeHeartbeatSamples: -1, Faults: map[int]FaultProfile{1: {CorruptRate: 0.5}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nw.hops(1) != 2 {
+		t.Fatalf("node 1 is %d hops out, want 2", nw.hops(1))
+	}
+	var wantBytes int64
+	// send transmits m and adds its bill: encoded size × hops × the
+	// attempts this transmission took.
+	send := func(id int, m wire.Message) wire.Message {
+		t.Helper()
+		size, err := wire.EncodedSize(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		retries := nw.cost.Retransmissions
+		got, err := nw.transmit(id, m)
+		if err != nil {
+			t.Fatalf("node %d: %v", id, err)
+		}
+		wantBytes += int64(size * nw.hops(id) * (1 + nw.cost.Retransmissions - retries))
+		return got
+	}
+	// round runs collectNode's resample → report exchange with every
+	// node, then ships node 0's top-up at the higher rate as a heartbeat
+	// piggyback.
+	round := func(rate, topUp float64) {
+		t.Helper()
+		for _, node := range nw.nodes {
+			cmd := send(node.ID(), &wire.Resample{NodeID: node.ID(), Rate: rate}).(*wire.Resample)
+			report, err := node.HandleResample(cmd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := nw.base.HandleReport(send(node.ID(), report).(*wire.SampleReport)); err != nil {
+				t.Fatal(err)
+			}
+			node.AckReport()
+		}
+		node := nw.nodes[0]
+		report, err := node.HandleResample(&wire.Resample{NodeID: 0, Rate: topUp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.Replace || len(report.Samples) == 0 {
+			t.Fatalf("want a non-empty top-up to piggyback, got %+v", report)
+		}
+		hb := &wire.Heartbeat{NodeID: 0, N: report.N, Piggyback: report.Samples}
+		if err := nw.base.HandleHeartbeat(send(0, hb).(*wire.Heartbeat)); err != nil {
+			t.Fatal(err)
+		}
+		node.AckReport()
+	}
+
+	// scribble overwrites every byte the buffer has ever held.
+	scribble := func() {
+		buf := nw.wireBuf[:cap(nw.wireBuf)]
+		for i := range buf {
+			buf[i] = 0xff
+		}
+	}
+
+	round(0.5, 0.6)
+	stored := nw.base.SampleSets()
+	copies := make([][]sampling.Sample, len(stored))
+	for i, set := range stored {
+		copies[i] = append([]sampling.Sample(nil), set.Samples...)
+	}
+	scribble()
+	// New readings on both nodes make round 2 redraw. At the lower rate
+	// its reports are smaller than round 1's, so they fit in the buffer
+	// with room to spare.
+	for _, node := range nw.nodes {
+		node.Load(parts[node.ID()][:100])
+	}
+	round(0.2, 0.35)
+	scribble()
+
+	for i, set := range stored {
+		if !reflect.DeepEqual(set.Samples, copies[i]) {
+			t.Errorf("node %d: a set stored after round 1 changed after round 2", i)
+		}
+	}
+	for i, set := range nw.base.SampleSets() {
+		if set == stored[i] {
+			t.Errorf("node %d: round 2 stored no new set", i)
+		}
+		if !reflect.DeepEqual(set.Samples, nw.nodes[i].shipped) {
+			t.Errorf("node %d: base station holds %d samples, node shipped %d",
+				i, len(set.Samples), len(nw.nodes[i].shipped))
+		}
+	}
+	cost := nw.Cost()
+	if cost.CorruptedMessages == 0 {
+		t.Error("node 1's link corrupted no attempt; the corrupt path went untested")
+	}
+	if cost.Bytes != wantBytes {
+		t.Errorf("Bytes = %d, want %d (encoded size × hops × attempts)", cost.Bytes, wantBytes)
+	}
+}
+
 func TestStateVersionBumpsOnAcceptedReports(t *testing.T) {
 	t.Parallel()
 	parts, _ := buildParts(t, 3, 600, 61)

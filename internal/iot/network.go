@@ -137,6 +137,11 @@ type Network struct {
 	// transitions into telemetry. Nil (recording nothing) until
 	// SetTelemetry attaches it.
 	metrics *Metrics
+	// wireBuf is transmit's encode buffer, reused for every message.
+	// transmit runs under the writer lock, and a delivered message never
+	// aliases it (wire.Decode copies every field, corruptPayload copies
+	// the bytes), so the next message may overwrite it.
+	wireBuf []byte
 }
 
 // SetTelemetry attaches collection-layer metrics to the network. Pass
@@ -329,10 +334,11 @@ func (nw *Network) hops(id int) int {
 // or corrupted), while Messages, SamplesShipped and PiggybackedReports
 // count only what actually arrives end to end.
 func (nw *Network) transmit(id int, m wire.Message) (wire.Message, error) {
-	data, err := wire.Encode(m)
+	data, err := wire.Append(nw.wireBuf[:0], m)
 	if err != nil {
 		return nil, err
 	}
+	nw.wireBuf = data
 	rep, isReport := m.(*wire.SampleReport)
 	free := isReport && nw.cfg.FreeHeartbeatSamples > 0 && len(rep.Samples) <= nw.cfg.FreeHeartbeatSamples
 	prof := nw.cfg.Faults[id]

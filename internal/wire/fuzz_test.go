@@ -8,8 +8,9 @@ import (
 )
 
 // FuzzDecode drives the codec with arbitrary inputs: it must never
-// panic, must bound its memory (hostile length prefixes), and anything
-// it accepts must re-encode to a decodable message.
+// panic, must bound its memory (hostile length prefixes), must agree
+// with the plain varint reference decoder, and anything it accepts
+// must re-encode to a decodable message.
 func FuzzDecode(f *testing.F) {
 	// Seed corpus: one valid encoding of each message type plus known
 	// tricky prefixes.
@@ -29,8 +30,13 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte{TagSampleReport, 0xff, 0xff, 0xff})
 	f.Add([]byte{0x00})
+	// A sample cut after its float, at byte 8, and rank deltas of two
+	// and ten bytes: the inputs on either side of the one-byte fast path.
+	f.Add(append(rawReport(rawSamples(1)), make([]byte, 8)...))
+	f.Add(rawReport(rawSamples(3, delta2, delta10, delta1)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkMatchesReference(t, "fuzz input", data)
 		m, consumed, err := Decode(data)
 		if err != nil {
 			return

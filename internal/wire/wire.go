@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 
 	"privrange/internal/sampling"
 )
@@ -110,31 +109,23 @@ type TraceContext struct {
 // Tag implements Message.
 func (*TraceContext) Tag() byte { return TagTraceContext }
 
-// encodeBufs recycles the codec's scratch buffers across messages: the
-// ingest path encodes one message per node per round, and a fresh
-// buffer per Encode re-pays its growth allocations every time. Pooling
-// changes neither the wire format nor the byte accounting — Encode
-// still returns an exact-length private slice, and the pooled buffers
-// never escape this package.
-var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-// Encode serializes a message to its wire form. The returned slice is
-// freshly allocated and owned by the caller.
-func Encode(m Message) ([]byte, error) {
+// Append appends the wire form of m to dst and returns the extended
+// slice. A caller that encodes many messages passes the same buffer
+// back each time (buf, err = Append(buf[:0], m)), so encoding costs no
+// allocation once the buffer has grown to the largest message.
+func Append(dst []byte, m Message) ([]byte, error) {
 	if m == nil {
-		return nil, fmt.Errorf("wire: nil message")
+		return dst, fmt.Errorf("wire: nil message")
 	}
-	buf := encodeBufs.Get().(*[]byte)
-	b := m.appendBody(append((*buf)[:0], m.Tag()))
-	out := make([]byte, len(b))
-	copy(out, b)
-	*buf = b
-	encodeBufs.Put(buf)
-	return out, nil
+	return m.appendBody(append(dst, m.Tag())), nil
 }
 
+// Encode serializes a message to its wire form in a new slice.
+func Encode(m Message) ([]byte, error) { return Append(nil, m) }
+
 // Decode parses one message from data and returns it along with the
-// number of bytes consumed.
+// number of bytes consumed. The message copies every field out of data
+// and never aliases it, so data may be reused as soon as Decode returns.
 func Decode(data []byte) (Message, int, error) {
 	if len(data) == 0 {
 		return nil, 0, fmt.Errorf("wire: empty input")
@@ -249,12 +240,19 @@ func decodeSamples(b []byte) ([]sampling.Sample, []byte, error) {
 	prev := uint64(0)
 	for i := uint64(0); i < count; i++ {
 		var v float64
-		if v, b, err = readFloat(b); err != nil {
-			return nil, nil, err
-		}
 		var delta uint64
-		if delta, b, err = readUvarint(b); err != nil {
-			return nil, nil, err
+		if len(b) >= minSampleBytes && b[8] < 0x80 {
+			// The common sample: the float and a one-byte rank delta.
+			v = math.Float64frombits(binary.LittleEndian.Uint64(b))
+			delta = uint64(b[8])
+			b = b[minSampleBytes:]
+		} else {
+			if v, b, err = readFloat(b); err != nil {
+				return nil, nil, err
+			}
+			if delta, b, err = readUvarint(b); err != nil {
+				return nil, nil, err
+			}
 		}
 		if delta == 0 {
 			return nil, nil, fmt.Errorf("sample %d: zero rank delta (ranks must increase)", i)

@@ -3,11 +3,9 @@ package wire
 import (
 	"bytes"
 	"encoding/hex"
-	"fmt"
 	"math"
 	"reflect"
 	"runtime"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -293,74 +291,6 @@ func TestDecodeNeverPanicsOnTruncatedValid(t *testing.T) {
 				_, _, _ = Decode(data[:cut])
 			}()
 		}
-	}
-}
-
-// TestPooledCodecConcurrentRoundTrips hammers Encode/Decode from many
-// goroutines to prove the sync.Pool reuse never bleeds state between
-// messages: every round-tripped report must come back exactly as sent,
-// and encoded bytes must be private copies unaffected by later encodes.
-func TestPooledCodecConcurrentRoundTrips(t *testing.T) {
-	t.Parallel()
-	const workers, iters = 8, 200
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				samples := make([]sampling.Sample, w+1)
-				for j := range samples {
-					samples[j] = sampling.Sample{Value: float64(w*1000 + i + j), Rank: 3*j + i%3 + 1}
-				}
-				msg := &SampleReport{NodeID: w, N: 10000 + i, Replace: i%2 == 0, Samples: samples}
-				data, err := Encode(msg)
-				if err != nil {
-					errs <- err
-					return
-				}
-				snapshot := append([]byte(nil), data...)
-				// Interleave another encode before decoding: a pooled
-				// buffer that leaked into data would be clobbered here.
-				if _, err := Encode(&Ack{NodeID: w}); err != nil {
-					errs <- err
-					return
-				}
-				if !bytes.Equal(data, snapshot) {
-					errs <- fmt.Errorf("worker %d iter %d: encoded bytes mutated by a later Encode", w, i)
-					return
-				}
-				decoded, n, err := Decode(data)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if n != len(data) {
-					errs <- fmt.Errorf("worker %d iter %d: consumed %d of %d", w, i, n, len(data))
-					return
-				}
-				got, ok := decoded.(*SampleReport)
-				if !ok || got.NodeID != msg.NodeID || got.N != msg.N || got.Replace != msg.Replace ||
-					len(got.Samples) != len(msg.Samples) {
-					errs <- fmt.Errorf("worker %d iter %d: round trip mismatch: %+v", w, i, decoded)
-					return
-				}
-				for j := range got.Samples {
-					if got.Samples[j] != msg.Samples[j] {
-						errs <- fmt.Errorf("worker %d iter %d sample %d: %+v != %+v",
-							w, i, j, got.Samples[j], msg.Samples[j])
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
 	}
 }
 

@@ -310,10 +310,20 @@ func (s *System) Ingest(values []float64) error {
 	if len(values) == 0 {
 		return nil
 	}
+	// Node i takes values i, i+k, i+2k, …; every node's batch is cut,
+	// in node order, from one backing array.
 	k := s.network.NumNodes()
 	perNode := make([][]float64, k)
-	for i, v := range values {
-		perNode[i%k] = append(perNode[i%k], v)
+	backing := make([]float64, len(values))
+	lo := 0
+	for i := range perNode {
+		hi := lo
+		for j := i; j < len(values); j += k {
+			backing[hi] = values[j]
+			hi++
+		}
+		perNode[i] = backing[lo:hi:hi]
+		lo = hi
 	}
 	return s.network.IngestRound(perNode)
 }
